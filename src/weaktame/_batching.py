@@ -34,14 +34,22 @@ def run_batches(
 ) -> list:
     """Apply ``worker`` to every argument tuple, results in submission order.
 
-    workers <= 1 runs inline (no pool, easier tracebacks); otherwise a process
-    pool maps the batches. Either way the returned list order matches
-    ``args_per_batch``, which is what downstream order-dependent merges rely on.
+    The pool gets one process per batch at most (see _pool_size); a single
+    process runs inline (no pool, easier tracebacks). Either way the returned
+    list order matches ``args_per_batch``, which is what downstream
+    order-dependent merges rely on.
     """
+    workers = _pool_size(workers, len(args_per_batch))
     if workers <= 1:
         return [worker(*args) for args in args_per_batch]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_star_apply, [(worker, args) for args in args_per_batch]))
+
+
+def _pool_size(workers: int, n_batches: int) -> int:
+    """Processes to start: the requested count, but no more than there are
+    batches, since a fork-started pool launches all of them up front."""
+    return min(workers, n_batches)
 
 
 def _star_apply(packed):

@@ -183,7 +183,7 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
     out = increments
     remaining = factor
     while remaining % 2 == 0:
-        out = out.reshape(*out.shape[:-1], -1, 2).sum(axis=-1)
+        out = out[..., 0::2] + out[..., 1::2]
         remaining //= 2
     if remaining > 1:
         out = out.reshape(*out.shape[:-1], -1, remaining).sum(axis=-1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -123,6 +124,13 @@ def _need(config: ExperimentConfig, *names: str) -> None:
             raise UsageError(f"{config.subcommand} config requires field {name!r}")
 
 
+def _check_u0(u0: float) -> None:
+    # The schemes form u*u; once that overflows, the tamed gain becomes
+    # inf/inf = NaN and the run ends in a reference blow-up or inf moments.
+    if not math.isfinite(u0 * u0):
+        raise UsageError(f"u0 must have a finite square (|u0| < 1.34e154), got {u0!r}")
+
+
 def _scheme_from_config(config: ExperimentConfig) -> schemes.SchemeSpec:
     name = config.scheme or "weak-tamed"
     if name == "regularized-em":
@@ -167,6 +175,7 @@ def _run_strong_error(config: ExperimentConfig) -> int:
     _need(config, "levels", "n_samples", "eta", "alpha", "horizon", "u0")
     if len(config.levels) < 4:
         raise UsageError("strong-error needs at least 4 levels for the rate fit")
+    _check_u0(config.u0)
     spec = _scheme_from_config(config)
     result = strong_error.estimate_strong_error(
         spec,
@@ -195,6 +204,7 @@ def _run_strong_error(config: ExperimentConfig) -> int:
 
 def _run_moments(config: ExperimentConfig) -> int:
     _need(config, "levels", "n_samples", "p_values", "horizon", "u0")
+    _check_u0(config.u0)
     spec = _scheme_from_config(config)
     rows = []
     by_p: dict[float, list[tuple[float, float]]] = {}

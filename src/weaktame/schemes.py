@@ -282,17 +282,17 @@ def interpolant_increments(
             fine_increments.reshape(n_batch, nc, factor), axis=2
         )[:, :, :-1]
         offsets = h_fine * np.arange(1, factor, dtype=np.float64)
-        inner = (
-            v_left[:, :, None]
-            + offsets[None, None, :] * f_left[:, :, None]
-            + s_left[:, :, None] * partial
-        )
 
-        block = np.empty((n_batch, nc, factor), dtype=np.float64)
-        block[:, :, 0] = v_left
-        block[:, :, 1:] = inner
+        # Cells are views into ``values``; each interior node is
+        # (v + offset*f) + s*partial, in that order.
         values = np.empty((n_batch, nf + 1), dtype=np.float64)
-        values[:, :nf] = block.reshape(n_batch, nf)
+        cells = values[:, :nf].reshape(n_batch, nc, factor)
+        cells[:, :, 0] = v_left
+        inner = cells[:, :, 1:]
+        np.multiply(offsets, f_left[:, :, None], out=inner)
+        inner += v_left[:, :, None]
+        partial *= s_left[:, :, None]
+        inner += partial
         values[:, nf] = coarse_values[:, -1]
 
         ok = np.abs(values) <= SATURATION_LIMIT

@@ -113,10 +113,36 @@ def test_coarsen_increments_pairwise_sums():
 
 
 def test_coarsen_increments_power_of_two_is_staged_pairwise():
+    # the strong-error engine coarsens each level from the one above it
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(3, 16))
-    by4 = coarsen_increments(x, 4)
-    assert np.array_equal(by4, coarsen_increments(coarsen_increments(x, 2), 2))
+    x = rng.normal(size=(3, 2048))
+    staged = x
+    for k in range(1, 11):
+        staged = coarsen_increments(staged, 2)
+        assert np.array_equal(staged, coarsen_increments(x, 2**k))
+    assert np.array_equal(
+        coarsen_increments(coarsen_increments(x, 8), 16), coarsen_increments(x, 128)
+    )
+
+
+def _reshape_sum_coarsen(x, factor):
+    # block sums as reshape(..., 2).sum(-1) halvings, then one odd block sum
+    while factor % 2 == 0:
+        x = x.reshape(*x.shape[:-1], -1, 2).sum(axis=-1)
+        factor //= 2
+    if factor > 1:
+        x = x.reshape(*x.shape[:-1], -1, factor).sum(axis=-1)
+    return x
+
+
+@pytest.mark.parametrize("factor", [2**k for k in range(1, 11)] + [3, 6])
+def test_coarsen_increments_matches_reshape_sum(factor):
+    rng = np.random.default_rng(factor)
+    x = rng.normal(size=(4, 3 * 2048))
+    assert np.array_equal(coarsen_increments(x, factor), _reshape_sum_coarsen(x, factor))
+    assert np.array_equal(
+        coarsen_increments(x[1], factor), _reshape_sum_coarsen(x[1], factor)
+    )
 
 
 def test_coarsen_path_drops_levels():

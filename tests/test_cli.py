@@ -134,12 +134,19 @@ def test_enkf_general_shape(capsys):
         (["enkf", "--J", "1", "--steps", "2"], "ensemble_size"),
         (["identity-check", "--samples", "100", "--workers", "0"], "workers"),
         (["strong-error", "--levels", "4,5,6", "--M", "50"], "levels"),
+        # u0*u0 overflows: the reference used to blow up with a traceback
+        (["strong-error", "--u0", "1e160", "--levels", "1..4", "--M", "10",
+          "--workers", "1"], "u0"),
+        # ... and moments printed inf
+        (["moments", "--u0=-1e160", "--levels", "1..2", "--M", "10",
+          "--workers", "1"], "u0"),
     ],
 )
 def test_usage_errors_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
     assert fragment in err
 
 

@@ -1,8 +1,16 @@
 """Strong-error estimation, reference certification, and rate fitting."""
 
+import numpy as np
 import pytest
 
-from weaktame.schemes import WEAK_TAMED_ENKF
+from weaktame import strong_error
+from weaktame.brownian import TimeGrid, coarsen_increments, increment_block
+from weaktame.schemes import (
+    NAIVE_EM,
+    WEAK_TAMED_ENKF,
+    integrate_increments,
+    interpolant_increments,
+)
 from weaktame.strong_error import ErrorStats, estimate_strong_error, fit_rate
 
 LEVELS = (2, 3, 4, 5)
@@ -58,6 +66,75 @@ def test_reference_certification_warns_on_short_stack():
     assert check.eta_threshold == min(s.eta_error for s in res) / 10.0
     assert check.alpha_threshold == min(s.alpha_error for s in res) / 10.0
     assert check.eta_error > check.eta_threshold
+
+
+def reference_error_batch(
+    spec, levels, ref_grid, eta, alpha, u0, seed, start, count, with_reference_check
+):
+    # The full-width engine: every level coarsened from the reference
+    # increments, the interpolant and |error| built at full width.
+    fine_increments = increment_block(seed, start, count, ref_grid)
+    h_ref = ref_grid.h
+    ref_values, _ = integrate_increments(WEAK_TAMED_ENKF, h_ref, fine_increments, u0)
+    work = [(lvl, spec) for lvl in levels]
+    if with_reference_check:
+        work.append((ref_grid.level - 1, WEAK_TAMED_ENKF))
+    out = []
+    for level, run_spec in work:
+        factor = 1 << (ref_grid.level - level)
+        if factor == 1:
+            coarse_inc = fine_increments
+        else:
+            coarse_inc = coarsen_increments(fine_increments, factor)
+        h_coarse = h_ref * factor
+        coarse_values, coarse_blow = integrate_increments(
+            run_spec, h_coarse, coarse_inc, u0
+        )
+        interp, interp_sat = interpolant_increments(
+            run_spec, coarse_values, h_coarse, fine_increments, h_ref
+        )
+        err = np.abs(interp - ref_values)
+        sup_err = err.max(axis=1)
+        if eta == 0.5:
+            sup_powers = np.sqrt(sup_err)
+        else:
+            sup_powers = sup_err**eta
+        if alpha == 1.0:
+            node_power_sums = err.sum(axis=0)
+        else:
+            node_power_sums = (err**alpha).sum(axis=0)
+        blowups = int(((coarse_blow >= 0) | interp_sat).sum())
+        out.append((sup_powers, node_power_sums, blowups))
+    return out
+
+
+@pytest.mark.parametrize("chunk_nodes", [strong_error._CHUNK_NODES, 96])
+@pytest.mark.parametrize(
+    "spec, levels, ref_level, eta, alpha, u0, start, count",
+    [
+        (WEAK_TAMED_ENKF, (4, 5, 6, 7, 8), 12, 0.5, 1.0, 1.0, 0, 256),
+        # blow-ups at levels 4..7, so saturated rows cross chunk boundaries
+        (NAIVE_EM, (4, 5, 6, 7, 8), 12, 0.5, 1.0, 3.0, 0, 256),
+        (WEAK_TAMED_ENKF, (4, 5, 6, 7, 8), 12, 0.25, 1.5, 1.0, 256, 100),
+        # factor 1, and a check level that is also a requested level
+        (WEAK_TAMED_ENKF, (5, 6, 7, 8), 8, 0.5, 1.0, 1.0, 0, 64),
+    ],
+    ids=["weak-tamed", "naive-em-blowups", "eta-alpha", "factor-one"],
+)
+def test_error_batch_matches_full_width_reference(
+    monkeypatch, chunk_nodes, spec, levels, ref_level, eta, alpha, u0, start, count
+):
+    monkeypatch.setattr(strong_error, "_CHUNK_NODES", chunk_nodes)
+    args = (spec, levels, TimeGrid(1.0, ref_level), eta, alpha, u0, 1, start, count, True)
+    got = strong_error._error_batch(*args)
+    want = reference_error_batch(*args)
+    assert len(got) == len(want) == len(levels) + 1
+    for (sup, sums, blow), (sup_ref, sums_ref, blow_ref) in zip(got, want):
+        assert np.array_equal(sup, sup_ref)
+        assert np.array_equal(sums, sums_ref)
+        assert blow == blow_ref
+    if spec is NAIVE_EM:
+        assert all(entry[2] > 0 for entry in want[:4])
 
 
 def make_stats(errors_eta, errors_alpha, first_level=2):
