@@ -19,7 +19,8 @@ for states whose anomalies are supplied directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,17 +141,18 @@ def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
 
 
+def _covariances(anomalies: np.ndarray, mapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    j = anomalies.shape[0]
+    return (mapped.T @ mapped) / j, (anomalies.T @ mapped) / j
+
+
 def cov_operators(state: EnsembleState) -> tuple[np.ndarray, np.ndarray]:
     """Empirical covariances (Cpp: K x K, Cup: d x K) with 1/J normalization.
 
     Built from the carried anomalies; for states constructed from particles
     this equals the about-the-mean formula up to one rounding of the mean.
     """
-    mapped = state.anomalies @ state.forward_map.T  # (J, K)
-    j = state.n_members
-    cpp = (mapped.T @ mapped) / j
-    cup = (state.anomalies.T @ mapped) / j
-    return cpp, cup
+    return _covariances(state.anomalies, state.anomalies @ state.forward_map.T)
 
 
 def _gain(cpp: np.ndarray, cup: np.ndarray, noise_cov: np.ndarray, h: float) -> np.ndarray:
@@ -164,63 +166,108 @@ def _gain(cpp: np.ndarray, cup: np.ndarray, noise_cov: np.ndarray, h: float) -> 
         raise ValueError(f"singular innovation system: {exc}") from exc
 
 
-def enkf_step(
-    state: EnsembleState,
-    perturbations: np.ndarray,
-    _sqrt_noise: np.ndarray | None = None,
-) -> EnsembleState:
-    """One perturbed-observations update; one N(0,1) K-vector per member.
+class _Problem(NamedTuple):
+    """What one update needs besides (mean, anomalies), fixed along a chain."""
 
-    run_chain passes the precomputed noise square root; direct callers get it
-    computed on the fly.
+    forward_map: np.ndarray
+    forward_map_t: np.ndarray
+    observation: np.ndarray
+    noise_cov: np.ndarray
+    sqrt_noise: np.ndarray
+    sqrt_noise_t: np.ndarray
+    h: float
+    sqrt_h: float
+
+
+def _problem(state: EnsembleState) -> _Problem:
+    sqrt_noise = sym_sqrt(state.noise_cov)
+    return _Problem(
+        state.forward_map,
+        state.forward_map.T,
+        state.observation,
+        state.noise_cov,
+        sqrt_noise,
+        sqrt_noise.T,
+        state.h,
+        np.sqrt(state.h),
+    )
+
+
+def _advance(
+    mean: np.ndarray, anomalies: np.ndarray, perturbations: np.ndarray, problem: _Problem
+) -> tuple[np.ndarray, np.ndarray]:
+    """One perturbed-observations update of raw (mean, anomalies) arrays.
+
+    The one copy of the step arithmetic. Its operation order is what makes the
+    J = 2 reduction bit-exact, so keep it as written. Raises the ValueError
+    that EnsembleState validation would if the new arrays are not finite.
     """
-    perturbations = _as_matrix(
-        "perturbations", perturbations, rows=state.n_members, cols=state.obs_dim
-    )
-    sqrt_noise = sym_sqrt(state.noise_cov) if _sqrt_noise is None else _sqrt_noise
-    cpp, cup = cov_operators(state)
-    gain = _gain(cpp, cup, state.noise_cov, state.h)
-    h = state.h
-    sqrt_h = np.sqrt(h)
-    j = state.n_members
+    forward_map, forward_map_t, observation, noise_cov, sqrt_noise, sqrt_noise_t, h, sqrt_h = problem
+    j = anomalies.shape[0]
+    mapped = anomalies @ forward_map_t
+    gain = _gain(*_covariances(anomalies, mapped), noise_cov, h)
 
-    innovation = state.observation - state.forward_map @ state.mean
-    zeta_bar = perturbations.mean(axis=0)
-    new_mean = (state.mean + gain @ (h * innovation)) + gain @ (
-        sqrt_h * (sqrt_noise @ zeta_bar)
-    )
+    innovation = observation - forward_map @ mean
+    zeta_bar = perturbations.sum(axis=0) / j
+    new_mean = (mean + gain @ (h * innovation)) + gain @ (sqrt_h * (sqrt_noise @ zeta_bar))
 
     # Pairwise centering: delta_j = (1/J) sum_k (zeta_j - zeta_k). Equal to
     # zeta_j - zeta_bar in exact arithmetic, but bitwise antisymmetric for
     # J = 2, which the reduction identity needs.
     delta = (perturbations[:, None, :] - perturbations[None, :, :]).sum(axis=1) / j
-    mapped = state.anomalies @ state.forward_map.T
     drift_term = (-(h * mapped)) @ gain.T
-    noise_term = (sqrt_h * (delta @ sqrt_noise.T)) @ gain.T
-    new_anomalies = (state.anomalies + drift_term) + noise_term
-    return replace(state, mean=new_mean, anomalies=new_anomalies)
+    noise_term = (sqrt_h * (delta @ sqrt_noise_t)) @ gain.T
+    new_anomalies = (anomalies + drift_term) + noise_term
+    if not np.isfinite(new_anomalies).all():
+        raise ValueError("anomalies must be finite")
+    if not np.isfinite(new_mean).all():
+        raise ValueError("mean must be finite")
+    return new_mean, new_anomalies
+
+
+def _evolved(template: EnsembleState, mean: np.ndarray, anomalies: np.ndarray) -> EnsembleState:
+    """``template`` with new (mean, anomalies) from _advance, built without
+    re-running __post_init__: _advance has checked the only fields that changed."""
+    state = object.__new__(EnsembleState)
+    vars(state).update(vars(template), mean=mean, anomalies=anomalies)
+    return state
+
+
+def enkf_step(state: EnsembleState, perturbations: np.ndarray) -> EnsembleState:
+    """One perturbed-observations update; one N(0,1) K-vector per member."""
+    perturbations = _as_matrix(
+        "perturbations", perturbations, rows=state.n_members, cols=state.obs_dim
+    )
+    mean, anomalies = _advance(state.mean, state.anomalies, perturbations, _problem(state))
+    return _evolved(state, mean, anomalies)
 
 
 def run_chain(
     initial: EnsembleState, n_steps: int, seed: int, chain_index: int = 0
 ) -> list[EnsembleState]:
-    """Iterate enkf_step n_steps times with replayable perturbations.
+    """Apply the enkf_step update n_steps times with replayable perturbations.
 
     Perturbations come from the same counter-based stream family as the
     Brownian module, keyed by (seed, chain_index), consumed in
     (step, member, component) order. Returns all n_steps+1 states.
+
+    ``initial`` is validated once, when it is constructed; each later state
+    is only checked finite, and the first that is not raises ValueError. The
+    returned states are views into one (n_steps+1, d) mean buffer and one
+    (n_steps+1, J, d) anomaly buffer, and share the problem data of
+    ``initial``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    j, k = initial.n_members, initial.obs_dim
+    j, d, k = initial.n_members, initial.dim, initial.obs_dim
     draws = standard_normals(seed, chain_index, n_steps * j * k).reshape(n_steps, j, k)
-    sqrt_noise = sym_sqrt(initial.noise_cov)
-    states = [initial]
-    current = initial
+    problem = _problem(initial)
+    means = np.empty((n_steps + 1, d))
+    anomalies = np.empty((n_steps + 1, j, d))
+    means[0], anomalies[0] = initial.mean, initial.anomalies
     for n in range(n_steps):
-        current = enkf_step(current, draws[n], _sqrt_noise=sqrt_noise)
-        states.append(current)
-    return states
+        means[n + 1], anomalies[n + 1] = _advance(means[n], anomalies[n], draws[n], problem)
+    return [_evolved(initial, m, a) for m, a in zip(means, anomalies)]
 
 
 def reduce_to_q(state_sequence) -> np.ndarray:

@@ -120,13 +120,16 @@ def enkf_csv(states: Sequence[EnsembleState]) -> str:
     header.append("misfit")
 
     root = sym_sqrt(first.noise_cov)
+    # EnsembleState.spread for every state at once, bitwise the same
+    anomalies = np.stack([state.anomalies for state in states])
+    spreads = np.sqrt(np.mean(np.sum(anomalies**2, axis=2), axis=1))
     body = []
-    for n, state in enumerate(states):
+    for n, (state, spread) in enumerate(zip(states, spreads)):
         residual = state.observation - state.forward_map @ state.mean
         misfit = float(np.linalg.norm(np.linalg.solve(root, residual)))
         row = [str(n)]
         row.extend(format_float(m) for m in state.mean)
-        row.append(format_float(state.spread()))
+        row.append(format_float(spread))
         if scalar_pair:
             row.append(format_float(state.anomalies[0, 0]))
         row.append(format_float(misfit))

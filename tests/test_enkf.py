@@ -10,6 +10,7 @@ from weaktame.enkf import (
     run_chain,
     sym_sqrt,
 )
+from weaktame.reports import enkf_csv, format_float
 from weaktame.schemes import WEAK_TAMED_ENKF, integrate_increments
 
 
@@ -227,3 +228,65 @@ def test_run_chain_deterministic():
     assert np.array_equal(reduce_to_q(a), reduce_to_q(b))
     c = run_chain(scalar_pair_state(1.0), 20, seed=4, chain_index=10)
     assert not np.array_equal(reduce_to_q(a), reduce_to_q(c))
+
+
+def overflowing_pair():
+    # h * Cpp overflows at the first step, so the gain is inf / inf
+    return scalar_pair_state(1e160, h=0.1)
+
+
+def overflowing_general():
+    anomalies = np.linspace(-1.0, 1.0, 15).reshape(5, 3) * 1e160
+    return EnsembleState(
+        mean=np.zeros(3),
+        anomalies=anomalies - anomalies.mean(axis=0),
+        forward_map=np.eye(2, 3),
+        observation=np.zeros(2),
+        noise_cov=np.eye(2),
+        h=0.1,
+    )
+
+
+def overflowing_mean():
+    # the innovation y - G m overflows; the anomaly update never reads it
+    state = scalar_pair_state(1.0, mean0=-1.7e308)
+    return EnsembleState(
+        mean=state.mean,
+        anomalies=state.anomalies,
+        forward_map=state.forward_map,
+        observation=np.array([1.7e308]),
+        noise_cov=state.noise_cov,
+        h=state.h,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [(overflowing_pair, "anomalies"), (overflowing_general, "anomalies"), (overflowing_mean, "mean")],
+)
+def test_leaving_the_finite_range_raises_the_validation_error(make, field):
+    state = make()
+    message = f"^{field} must be finite$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            run_chain(state, 5, seed=1)
+        with pytest.raises(ValueError, match=message):
+            enkf_step(state, np.zeros((state.n_members, state.obs_dim)))
+
+
+@pytest.mark.parametrize("j, d", [(2, 1), (5, 3), (9, 4), (17, 2), (33, 8)])
+def test_enkf_csv_spread_equals_per_state_spread_bitwise(j, d):
+    k = min(d, 2)
+    state = EnsembleState.from_particles(
+        np.random.default_rng(j).normal(size=(j, d)),
+        forward_map=np.eye(k, d),
+        observation=np.zeros(k),
+        noise_cov=np.eye(k),
+        h=0.1,
+    )
+    states = run_chain(state, 30, seed=2)
+    lines = enkf_csv(states).splitlines()
+    column = lines[0].split(",").index("spread")
+    assert [line.split(",")[column] for line in lines[1:]] == [
+        format_float(s.spread()) for s in states
+    ]

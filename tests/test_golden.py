@@ -1,8 +1,9 @@
-"""Pinned report bytes of small strong-error runs.
+"""Pinned report bytes of small strong-error and enkf runs.
 
-The files under ``golden/`` are the stdout (CSV table, then the rate-fit
-JSON) of the commands below. The bytes depend on numpy's Philox and scipy's
-``ndtri``; ``golden/versions.json`` records the versions they were made with.
+The files under ``golden/`` are the stdout of the commands below: for
+strong-error the CSV table, then the rate-fit JSON; for enkf the per-iterate
+CSV. The bytes depend on numpy's Philox and scipy's ``ndtri``;
+``golden/versions.json`` records the versions they were made with.
 """
 
 import json
@@ -23,6 +24,18 @@ CASES = [
     ("strong_error_naive_em_u0_3.txt", ["--scheme", "naive-em", "--u0", "3"], 0),
 ]
 
+ENKF_CASES = [
+    # J = 2, d = K = 1 carries the q column of the scalar reduction
+    ("enkf_J2_d1_K1.txt", ["--J", "2", "--d", "1", "--K", "1", "--h", "0.25"]),
+    ("enkf_J5_d3_K2.txt", ["--J", "5", "--d", "3", "--K", "2", "--h", "0.1"]),
+]
+
+
+def assert_golden(name, out):
+    pinned = json.loads((GOLDEN / "versions.json").read_text())
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    assert out == (GOLDEN / name).read_text(), f"pinned with {pinned}, running {versions}"
+
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("workers", [1, 2])
@@ -31,8 +44,11 @@ def test_strong_error_golden_bytes(name, extra, code, workers, capsys):
     argv = ["strong-error", "--levels", "4..8", "--M", "256", "--seed", "1",
             "--workers", str(workers)] + extra
     assert cli.main(argv) == code
-    pinned = json.loads((GOLDEN / "versions.json").read_text())
-    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
-    assert capsys.readouterr().out == (GOLDEN / name).read_text(), (
-        f"pinned with {pinned}, running {versions}"
-    )
+    assert_golden(name, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name, extra", ENKF_CASES, ids=[c[0][:-4] for c in ENKF_CASES])
+def test_enkf_golden_bytes(name, extra, capsys):
+    argv = ["enkf", "--steps", "200", "--seed", "3"] + extra
+    assert cli.main(argv) == 0
+    assert_golden(name, capsys.readouterr().out)
