@@ -151,19 +151,44 @@ def sample_path(seed: int, sample_index: int, grid: TimeGrid) -> BrownianPath:
 
 
 def increment_block(
-    seed: int, first_index: int, count: int, grid: TimeGrid
+    seed: int,
+    first_index: int,
+    count: int,
+    grid: TimeGrid,
+    *,
+    first_step: int = 0,
+    steps: int | None = None,
 ) -> np.ndarray:
-    """Increments for samples first_index .. first_index+count-1, shape (count, N).
+    """Increments for samples first_index .. first_index+count-1, shape (count, steps).
 
-    Row i is bit-identical to sample_path(seed, first_index+i, grid).increments,
-    which is what makes batched Monte Carlo independent of batching.
+    The window covers steps first_step .. first_step+steps-1 of the grid
+    (default: all of it). Row i is bit-identical to that slice of
+    sample_path(seed, first_index+i, grid).increments, which is what makes
+    batched Monte Carlo independent of batching, and a path streamed window
+    by window the same as one drawn whole. Philox yields four words per
+    counter value, so first_step must be a multiple of 4: the window resumes
+    each row's stream at counter first_step/4.
     """
     if count < 1:
         raise ValueError("count must be positive")
     n = grid.n_steps
-    raw = np.empty((count, n), dtype=np.uint64)
+    if steps is None:
+        steps = n - first_step
+    if first_step < 0 or first_step % 4:
+        raise ValueError(f"first_step must be a nonnegative multiple of 4, got {first_step}")
+    if steps < 1 or first_step + steps > n:
+        raise ValueError(f"window of {steps} steps from {first_step} leaves the {n}-step grid")
+    # One generator, rekeyed per row through its state: far cheaper than
+    # constructing a Philox per row, and the same words.
+    bitgen = Philox(key=_stream_key(seed, first_index))
+    state = bitgen.state
+    inner = state["state"]
+    inner["counter"] = np.array([first_step // 4, 0, 0, 0], dtype=np.uint64)
+    raw = np.empty((count, steps), dtype=np.uint64)
     for i in range(count):
-        raw[i] = Philox(key=_stream_key(seed, first_index + i)).random_raw(n)
+        inner["key"] = _stream_key(seed, first_index + i)
+        bitgen.state = state
+        raw[i] = bitgen.random_raw(steps)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return np.sqrt(grid.h) * ndtri(u)
 

@@ -220,6 +220,13 @@ def _run_moments(config: ExperimentConfig) -> int:
             workers=config.workers,
         )
         for rep in table:
+            # Powers of values near the saturation sentinel, or of a huge
+            # u0, overflow float64; an inf table is not a result.
+            reported = (rep.sup_of_mean, rep.mean_of_sup, rep.integral_term)
+            if not all(map(math.isfinite, reported)):
+                raise UsageError(
+                    f"moments of order p = {rep.p:g} overflow float64 at h = {grid.h:g}"
+                )
             rows.append((spec.label, grid.h, rep))
             by_p.setdefault(rep.p, []).append((rep.sup_of_mean, rep.sup_of_mean_ci))
     _deliver(config, reports.moments_csv(rows))

@@ -252,7 +252,8 @@ def run_chain(
     (step, member, component) order. Returns all n_steps+1 states.
 
     ``initial`` is validated once, when it is constructed; each later state
-    is only checked finite, and the first that is not raises ValueError. The
+    is only checked finite, and the first that is not raises ValueError,
+    without numpy floating-point warnings before it. The
     returned states are views into one (n_steps+1, d) mean buffer and one
     (n_steps+1, J, d) anomaly buffer, and share the problem data of
     ``initial``.
@@ -265,8 +266,11 @@ def run_chain(
     means = np.empty((n_steps + 1, d))
     anomalies = np.empty((n_steps + 1, j, d))
     means[0], anomalies[0] = initial.mean, initial.anomalies
-    for n in range(n_steps):
-        means[n + 1], anomalies[n + 1] = _advance(means[n], anomalies[n], draws[n], problem)
+    # Overflow ends the chain with _advance's ValueError; numpy's warnings
+    # on the way there would only repeat it.
+    with np.errstate(all="ignore"):
+        for n in range(n_steps):
+            means[n + 1], anomalies[n + 1] = _advance(means[n], anomalies[n], draws[n], problem)
     return [_evolved(initial, m, a) for m, a in zip(means, anomalies)]
 
 

@@ -152,7 +152,8 @@ def moment_table(
                 batch_node_sums[take, i].sum(axis=0),
                 batch_node_count[take].sum(axis=0),
             )
-        lo, hi = np.percentile(resampled, [2.5, 97.5])
+        with np.errstate(invalid="ignore"):  # inf moments: the half-width is NaN
+            lo, hi = np.percentile(resampled, [2.5, 97.5])
         reports.append(
             MomentReport(
                 p=p,

@@ -278,9 +278,10 @@ def interpolant_increments(
         f_left, s_left = _frozen_coefficients(
             spec.variant, spec.epsilon, h_coarse, v_left
         )
+        # Only the first factor-1 partial sums of a cell are interior nodes.
         partial = np.cumsum(
-            fine_increments.reshape(n_batch, nc, factor), axis=2
-        )[:, :, :-1]
+            fine_increments.reshape(n_batch, nc, factor)[:, :, :-1], axis=2
+        )
         offsets = h_fine * np.arange(1, factor, dtype=np.float64)
 
         # Cells are views into ``values``; each interior node is
@@ -295,9 +296,14 @@ def interpolant_increments(
         inner += partial
         values[:, nf] = coarse_values[:, -1]
 
-        ok = np.abs(values) <= SATURATION_LIMIT
-        saturated_row = ~ok.all(axis=1)
+        # Row extremes flag NaN too (max and min propagate it), without an
+        # elementwise pass over the rows that stay in range.
+        saturated_row = ~(
+            (values.max(axis=1) <= SATURATION_LIMIT)
+            & (values.min(axis=1) >= -SATURATION_LIMIT)
+        )
         if saturated_row.any():
+            ok = np.abs(values) <= SATURATION_LIMIT
             clamped = np.clip(values, -SATURATION_LIMIT, SATURATION_LIMIT)
             sign_source = np.repeat(
                 np.concatenate([v_left, coarse_values[:, -1:]], axis=1),

@@ -89,6 +89,30 @@ def test_sample_path_matches_block():
         assert path.grid == grid
 
 
+@pytest.mark.parametrize("seed, first_index", [(3, 10), (2**64 - 1, 2**40)])
+@pytest.mark.parametrize("first_step, steps", [(0, 100), (4, 64), (2048, 2048), (4092, 4)])
+def test_increment_block_window_is_a_slice_of_the_full_rows(
+    seed, first_index, first_step, steps
+):
+    # the reference rows come from one freshly keyed Philox per sample
+    grid = TimeGrid(1.0, 12, 1)
+    window = increment_block(seed, first_index, 3, grid, first_step=first_step, steps=steps)
+    assert window.shape == (3, steps)
+    for i in range(3):
+        full = sample_path(seed, first_index + i, grid).increments
+        assert np.array_equal(window[i], full[first_step : first_step + steps])
+
+
+@pytest.mark.parametrize(
+    "first_step, steps",
+    [(2, 8), (-4, 8), (0, 0), (32, 1)],
+    ids=["unaligned", "negative", "empty", "past-end"],
+)
+def test_increment_block_rejects_bad_windows(first_step, steps):
+    with pytest.raises(ValueError):
+        increment_block(0, 0, 2, TimeGrid(1.0, 5, 1), first_step=first_step, steps=steps)
+
+
 def test_path_values_are_cumsum():
     grid = TimeGrid(1.0, 3, 1)
     path = sample_path(0, 0, grid)

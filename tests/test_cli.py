@@ -140,14 +140,34 @@ def test_enkf_general_shape(capsys):
         # ... and moments printed inf
         (["moments", "--u0=-1e160", "--levels", "1..2", "--M", "10",
           "--workers", "1"], "u0"),
+        # the chain overflows; numpy warnings used to precede the error line
+        (["enkf", "--J", "40", "--d", "3", "--K", "2", "--h", "1e308", "--steps", "3",
+          "--workers", "1"], "anomalies must be finite"),
     ],
 )
+# pytest captures warnings instead of printing them, so make them fail
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_usage_errors_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert fragment in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_moments_overflow_exits_2_without_a_table(tmp_path, capsys):
+    # u0 squares finitely, but the order-2 moments of u0**2 do not
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--u0", "1.3e154", "--levels", "1..2", "--M", "10",
+            "--workers", "1", "-o", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    assert "p = 2" in captured.err
+    assert not out.exists() and not out.with_suffix(".config.json").exists()
 
 
 def test_unknown_subcommand_exits_2():

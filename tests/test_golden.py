@@ -1,9 +1,11 @@
-"""Pinned report bytes of small strong-error and enkf runs.
+"""Pinned report bytes of small strong-error, moments, enkf and
+identity-check runs.
 
 The files under ``golden/`` are the stdout of the commands below: for
-strong-error the CSV table, then the rate-fit JSON; for enkf the per-iterate
-CSV. The bytes depend on numpy's Philox and scipy's ``ndtri``;
-``golden/versions.json`` records the versions they were made with.
+strong-error the CSV table, then the rate-fit JSON; for moments and enkf the
+CSV; for identity-check the JSON summary. The bytes depend on numpy's Philox
+and scipy's ``ndtri``; ``golden/versions.json`` records the versions they
+were made with.
 """
 
 import json
@@ -23,6 +25,10 @@ CASES = [
     # naive Euler blows up at levels 4..7 from u0 = 3
     ("strong_error_naive_em_u0_3.txt", ["--scheme", "naive-em", "--u0", "3"], 0),
 ]
+
+# Five 256-row merge units: worker counts 1, 2 and 3 group them into tasks of
+# four, three and two units, so the last task is short at 1 and 3 workers.
+STRONG_M1280 = ["strong-error", "--levels", "4..8", "--M", "1280", "--seed", "1"]
 
 ENKF_CASES = [
     # J = 2, d = K = 1 carries the q column of the scalar reduction
@@ -52,3 +58,23 @@ def test_enkf_golden_bytes(name, extra, capsys):
     argv = ["enkf", "--steps", "200", "--seed", "3"] + extra
     assert cli.main(argv) == 0
     assert_golden(name, capsys.readouterr().out)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_strong_error_golden_bytes_with_uneven_tasks(workers, capsys):
+    assert cli.main(STRONG_M1280 + ["--workers", str(workers)]) == 0
+    assert_golden("strong_error_M1280.txt", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_moments_golden_bytes(workers, capsys):
+    argv = ["moments", "--levels", "4..8", "--p", "1,2,2.5", "--M", "1024",
+            "--seed", "1", "--workers", str(workers)]
+    assert cli.main(argv) == 0
+    assert_golden("moments_weak_tamed.txt", capsys.readouterr().out)
+
+
+def test_identity_check_golden_bytes(capsys):
+    assert cli.main(["identity-check", "--workers", "1"]) == 0
+    assert_golden("identity_check.txt", capsys.readouterr().out)

@@ -1,5 +1,7 @@
 """Strong-error estimation, reference certification, and rate fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ def reference_error_batch(
     return out
 
 
-@pytest.mark.parametrize("chunk_nodes", [strong_error._CHUNK_NODES, 96])
+@pytest.mark.parametrize("chunk_nodes", [2048, 96])
 @pytest.mark.parametrize(
     "spec, levels, ref_level, eta, alpha, u0, start, count",
     [
@@ -125,16 +127,109 @@ def test_error_batch_matches_full_width_reference(
     monkeypatch, chunk_nodes, spec, levels, ref_level, eta, alpha, u0, start, count
 ):
     monkeypatch.setattr(strong_error, "_CHUNK_NODES", chunk_nodes)
-    args = (spec, levels, TimeGrid(1.0, ref_level), eta, alpha, u0, 1, start, count, True)
-    got = strong_error._error_batch(*args)
-    want = reference_error_batch(*args)
-    assert len(got) == len(want) == len(levels) + 1
+    grid = TimeGrid(1.0, ref_level)
+    (got,) = strong_error._error_task(
+        spec, levels, grid, eta, alpha, u0, 1, ((start, count),), True
+    )
+    want = reference_error_batch(spec, levels, grid, eta, alpha, u0, 1, start, count, True)
+    assert_unit_equal(got, want, len(levels) + 1)
+    if spec is NAIVE_EM:
+        assert all(entry[2] > 0 for entry in want[:4])
+
+
+def assert_unit_equal(got, want, n_work):
+    assert len(got) == len(want) == n_work
     for (sup, sums, blow), (sup_ref, sums_ref, blow_ref) in zip(got, want):
         assert np.array_equal(sup, sup_ref)
         assert np.array_equal(sums, sums_ref)
         assert blow == blow_ref
+
+
+@pytest.mark.parametrize(
+    "chunk_nodes, window",
+    # the window is whole coarsest cells (256 reference steps at level 4 of
+    # a level-12 reference), never less than one
+    [(strong_error._CHUNK_NODES, 1024), (2048, 2048), (600, 512), (96, 256)],
+)
+@pytest.mark.parametrize(
+    "spec, u0, units",
+    [
+        (WEAK_TAMED_ENKF, 1.0, ((0, 256), (256, 256), (512, 100))),
+        (NAIVE_EM, 3.0, ((256, 256), (512, 256))),
+    ],
+    ids=["weak-tamed-3-units", "naive-em-2-units"],
+)
+def test_streamed_task_matches_full_width_reference_per_unit(
+    monkeypatch, chunk_nodes, window, spec, u0, units
+):
+    monkeypatch.setattr(strong_error, "_CHUNK_NODES", chunk_nodes)
+    levels, grid = (4, 5, 6, 7, 8), TimeGrid(1.0, 12)
+    got = strong_error._error_task(spec, levels, grid, 0.5, 1.0, u0, 1, units, True)
+    assert len(got) == len(units)
+    for unit, (start, count) in zip(got, units):
+        want = reference_error_batch(spec, levels, grid, 0.5, 1.0, u0, 1, start, count, True)
+        assert_unit_equal(unit, want, len(levels) + 1)
     if spec is NAIVE_EM:
-        assert all(entry[2] > 0 for entry in want[:4])
+        # level-4 rows blow up before the last window and must stay frozen,
+        # at both signs of the sentinel, through the windows after it
+        inc = coarsen_increments(increment_block(1, 256, 512, grid), 256)
+        values, blow = integrate_increments(NAIVE_EM, 1 / 16, inc, u0)
+        blown = blow >= 0
+        assert (blow[blown] * 256 < grid.n_steps - window).any()
+        assert {-1.0, 1.0} <= set(np.sign(values[blown, -1]))
+
+
+def test_streamed_levels_continue_the_full_width_trajectories(monkeypatch):
+    # Stitch each level's per-window trajectories back together: they must
+    # be the full-width ones, frozen sentinels of blown-up rows included.
+    monkeypatch.setattr(strong_error, "_CHUNK_NODES", 96)  # one level-4 cell
+    windows = {}
+
+    def recording(spec, h, increments, u0):
+        values, blow = integrate_increments(spec, h, increments, u0)
+        windows.setdefault((spec.variant, h), []).append(values)
+        return values, blow
+
+    monkeypatch.setattr(strong_error, "integrate_increments", recording)
+    levels, grid = (4, 6, 8), TimeGrid(1.0, 12)
+    strong_error._error_task(NAIVE_EM, levels, grid, 0.5, 1.0, 3.0, 1, ((0, 64),), True)
+    fine = increment_block(1, 0, 64, grid)
+    for level, spec in [(4, NAIVE_EM), (6, NAIVE_EM), (8, NAIVE_EM), (11, WEAK_TAMED_ENKF)]:
+        h = 2.0**-level
+        parts = windows[(spec.variant, h)]
+        assert len(parts) == grid.n_steps // 256
+        stitched = np.concatenate([parts[0][:, :1]] + [v[:, 1:] for v in parts], axis=1)
+        want, blow = integrate_increments(spec, h, coarsen_increments(fine, 1 << (12 - level)), 3.0)
+        assert np.array_equal(stitched, want)
+        if level == 4:
+            assert (blow >= 0).any()
+
+
+def test_tasks_group_consecutive_units():
+    units = strong_error.batch_ranges(1280, 256)
+    assert strong_error._task_units(units, 1) == [tuple(units[:4]), tuple(units[4:])]
+    assert strong_error._task_units(units, 2) == [tuple(units[:3]), tuple(units[3:])]
+    assert strong_error._task_units(units, 3) == [tuple(units[i : i + 2]) for i in (0, 2, 4)]
+    assert strong_error._task_units(units[:4], 2) == [tuple(units[:2]), tuple(units[2:4])]
+    assert strong_error._task_units(units, 64) == [(u,) for u in units]
+
+
+def test_task_memory_does_not_grow_with_the_reference_grid():
+    # one 512-row task: its peak is window-sized arrays plus node sums, so
+    # eight times the reference steps costs well under 1.5 times the memory
+    def peak(ref_level):
+        levels = tuple(range(ref_level - 6, ref_level - 3))
+        tracemalloc.start()
+        try:
+            strong_error._error_task(
+                WEAK_TAMED_ENKF, levels, TimeGrid(1.0, ref_level), 0.5, 1.0, 1.0, 0,
+                ((0, 256), (256, 256)), True,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(14) <= 1.5 * peak(11)
 
 
 def make_stats(errors_eta, errors_alpha, first_level=2):
