@@ -208,17 +208,17 @@ def _run_moments(config: ExperimentConfig) -> int:
     spec = _scheme_from_config(config)
     rows = []
     by_p: dict[float, list[tuple[float, float]]] = {}
-    for level in config.levels:
-        grid = TimeGrid(config.horizon, level, 1)
-        table = moments.moment_table(
-            spec,
-            grid,
-            config.p_values,
-            config.n_samples,
-            config.seed,
-            u0=config.u0,
-            workers=config.workers,
-        )
+    grids = [TimeGrid(config.horizon, level, 1) for level in config.levels]
+    tables = moments.moment_tables(
+        spec,
+        grids,
+        config.p_values,
+        config.n_samples,
+        config.seed,
+        u0=config.u0,
+        workers=config.workers,
+    )
+    for grid, table in zip(grids, tables):
         for rep in table:
             # Powers of values near the saturation sentinel, or of a huge
             # u0, overflow float64; an inf table is not a result.

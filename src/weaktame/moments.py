@@ -22,6 +22,7 @@ __all__ = [
     "MomentReport",
     "estimate_moments",
     "moment_table",
+    "moment_tables",
     "node_second_moments",
     "second_moment_recursion_check",
     "em_blowup_profile",
@@ -30,6 +31,9 @@ __all__ = [
 MOMENT_BATCH_SIZE = 512
 BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
+# Resamples summed per numpy call; the gathered block is this many copies of
+# the stacked batch sums.
+_BOOTSTRAP_CHUNK = 10
 
 
 @dataclass(frozen=True)
@@ -69,30 +73,33 @@ def _moment_batch(
     """Pure per-batch accumulation; everything downstream is an ordered merge."""
     increments = increment_block(seed, start, count, grid)
     values, blow = integrate_increments(spec, grid.h, increments, u0)
+    # taken before masking, so saturated endpoints keep the sentinel
+    endpoints = np.abs(values[:, -1]) if keep_endpoints else None
     n_nodes = values.shape[1]
     valid = _valid_mask(blow, n_nodes)
-    absv = np.abs(values)
-    v2 = values * values
+    # Zero each row from its blow-up on: |0|^p and the integral term at 0 are
+    # exactly the 0.0 that saturated nodes contribute.
+    absv = np.where(valid, values, 0.0)
+    np.abs(absv, out=absv)
     h = grid.h
+    damping = 1.0 + h * (absv * absv)
 
     node_sums = np.empty((len(ps), n_nodes), dtype=np.float64)
     sup_sums = np.empty(len(ps), dtype=np.float64)
     integral_sums = np.empty(len(ps), dtype=np.float64)
-    masked_abs = np.where(valid, absv, 0.0)
-    path_sup = masked_abs.max(axis=1)
+    path_sup = absv.max(axis=1)
+    work = np.empty_like(absv)  # one (rows, nodes) scratch array for every p
     with np.errstate(all="ignore"):
         for i, p in enumerate(ps):
-            powv = np.where(valid, absv**p, 0.0)
-            node_sums[i] = powv.sum(axis=0)
+            node_sums[i] = np.power(absv, p, out=work).sum(axis=0)
             sup_sums[i] = float(np.sum(path_sup**p))
             # stable form of |v|^(p+2) / (1+h v^2)^2, overflow-free for
             # |v| up to the saturation sentinel
-            base = absv / (1.0 + h * v2) ** (2.0 / (p + 2.0))
-            term = np.where(valid, base ** (p + 2.0), 0.0)
-            integral_sums[i] = float(h * term.sum())
+            np.power(damping, 2.0 / (p + 2.0), out=work)
+            np.divide(absv, work, out=work)
+            integral_sums[i] = float(h * np.power(work, p + 2.0, out=work).sum())
     node_count = valid.sum(axis=0).astype(np.int64)
     blow_count = int((blow >= 0).sum())
-    endpoints = absv[:, -1].copy() if keep_endpoints else None
     return node_sums, node_count, sup_sums, integral_sums, blow_count, endpoints
 
 
@@ -101,11 +108,123 @@ def _bootstrap_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(Philox(key=key))
 
 
-def _sup_of_mean(node_sums: np.ndarray, node_count: np.ndarray) -> float:
-    covered = node_count > 0
-    with np.errstate(all="ignore"):
-        means = node_sums[covered] / node_count[covered]
-    return float(means.max())
+def _bootstrap(
+    batch_sums: np.ndarray, batch_counts: np.ndarray, seed: int, tag: int, statistic
+) -> np.ndarray:
+    """``statistic(sums, counts)`` of every batch-bootstrap resample.
+
+    Resample b sums the batches ``draws[b]`` picks, in draw order, as one
+    axis-1 sum over a block of ``_BOOTSTRAP_CHUNK`` resamples at a time;
+    ``statistic`` maps the (chunk, ...) sums and (chunk, nodes) counts to one
+    row per resample.
+    """
+    n_batches = batch_counts.shape[0]
+    rng = _bootstrap_rng(seed, tag)
+    draws = rng.integers(0, n_batches, size=(BOOTSTRAP_RESAMPLES, n_batches))
+    chunks = np.split(draws, range(_BOOTSTRAP_CHUNK, len(draws), _BOOTSTRAP_CHUNK))
+    with np.errstate(over="ignore"):  # resamples of huge moments may sum to inf
+        return np.concatenate(
+            [
+                statistic(batch_sums[take].sum(axis=1), batch_counts[take].sum(axis=1))
+                for take in chunks
+            ]
+        )
+
+
+def _sup_of_mean(node_sums: np.ndarray, node_count: np.ndarray) -> np.ndarray:
+    """Max over covered nodes (last axis) of the per-node means.
+
+    ``node_sums`` carries the moment orders on its second-to-last axis.
+    """
+    covered = (node_count > 0)[..., None, :]
+    means = np.full(np.broadcast_shapes(node_sums.shape, covered.shape), -np.inf)
+    np.divide(node_sums, node_count[..., None, :], out=means, where=covered)
+    return means.max(axis=-1)
+
+
+def _grid_batches(
+    spec: SchemeSpec,
+    grids,
+    n_samples: int,
+    seed: int,
+    u0: float,
+    ps: tuple[float, ...],
+    keep_endpoints: bool,
+    workers: int,
+) -> list[list]:
+    """Per-grid batch results, in batch order, from one run_batches call.
+
+    Each distinct grid is simulated once. Calls go out largest grid first,
+    so the last ones to finish are the short ones.
+    """
+    grids = list(grids)
+    ranges = batch_ranges(n_samples, MOMENT_BATCH_SIZE)
+    distinct = sorted(dict.fromkeys(grids), key=lambda g: -g.n_steps)
+    results = run_batches(
+        _moment_batch,
+        [
+            (spec, grid, seed, start, count, u0, ps, keep_endpoints)
+            for grid in distinct
+            for start, count in ranges
+        ],
+        workers=workers,
+    )
+    nb = len(ranges)
+    by_grid = {grid: results[k * nb : (k + 1) * nb] for k, grid in enumerate(distinct)}
+    return [by_grid[grid] for grid in grids]
+
+
+def _merge_moments(results, ps, n_samples: int, seed: int) -> list[MomentReport]:
+    batch_node_sums = np.stack([r[0] for r in results])  # (nb, P, N+1)
+    batch_node_count = np.stack([r[1] for r in results])  # (nb, N+1)
+    sup_sums = np.sum([r[2] for r in results], axis=0)
+    integral_sums = np.sum([r[3] for r in results], axis=0)
+    blow_total = sum(r[4] for r in results)
+
+    stats = _sup_of_mean(batch_node_sums.sum(axis=0), batch_node_count.sum(axis=0))
+    resampled = _bootstrap(
+        batch_node_sums, batch_node_count, seed, _BOOTSTRAP_TAG, _sup_of_mean
+    )  # (BOOTSTRAP_RESAMPLES, P)
+
+    reports = []
+    for i, p in enumerate(ps):
+        with np.errstate(invalid="ignore"):  # inf moments: the half-width is NaN
+            lo, hi = np.percentile(resampled[:, i], [2.5, 97.5])
+        reports.append(
+            MomentReport(
+                p=p,
+                sup_of_mean=float(stats[i]),
+                mean_of_sup=float(sup_sums[i] / n_samples),
+                integral_term=float(integral_sums[i] / n_samples),
+                blowup_fraction=blow_total / n_samples,
+                n_samples=n_samples,
+                sup_of_mean_ci=float((hi - lo) / 2.0),
+            )
+        )
+    return reports
+
+
+def moment_tables(
+    spec: SchemeSpec,
+    grids,
+    ps,
+    n_samples: int,
+    seed: int,
+    u0: float = 1.0,
+    workers: int = 1,
+) -> list[list[MomentReport]]:
+    """moment_table for every grid, in ``grids`` order, from one batch pass.
+
+    All grids' batches go to one run_batches call (one worker pool); each
+    grid's reports equal those of its own moment_table call.
+    """
+    ps = tuple(float(p) for p in ps)
+    if not ps or not all(np.isfinite(p) and p > 0 for p in ps):
+        raise ValueError("moment orders must be finite and positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    per_grid = _grid_batches(spec, grids, n_samples, seed, u0, ps, False, workers)
+    return [_merge_moments(results, ps, n_samples, seed) for results in per_grid]
 
 
 def moment_table(
@@ -118,54 +237,7 @@ def moment_table(
     workers: int = 1,
 ) -> list[MomentReport]:
     """MomentReports for several orders p from one simulation pass."""
-    ps = tuple(float(p) for p in ps)
-    if not ps or any(p <= 0 for p in ps):
-        raise ValueError("moment orders must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    ranges = batch_ranges(n_samples, MOMENT_BATCH_SIZE)
-    results = run_batches(
-        _moment_batch,
-        [(spec, grid, seed, start, count, u0, ps, False) for start, count in ranges],
-        workers=workers,
-    )
-    batch_node_sums = np.stack([r[0] for r in results])  # (nb, P, N+1)
-    batch_node_count = np.stack([r[1] for r in results])  # (nb, N+1)
-    sup_sums = np.sum([r[2] for r in results], axis=0)
-    integral_sums = np.sum([r[3] for r in results], axis=0)
-    blow_total = sum(r[4] for r in results)
-
-    node_sums = batch_node_sums.sum(axis=0)
-    node_count = batch_node_count.sum(axis=0)
-
-    n_batches = len(ranges)
-    rng = _bootstrap_rng(seed, _BOOTSTRAP_TAG)
-    draws = rng.integers(0, n_batches, size=(BOOTSTRAP_RESAMPLES, n_batches))
-
-    reports = []
-    for i, p in enumerate(ps):
-        stat = _sup_of_mean(node_sums[i], node_count)
-        resampled = np.empty(BOOTSTRAP_RESAMPLES, dtype=np.float64)
-        for b in range(BOOTSTRAP_RESAMPLES):
-            take = draws[b]
-            resampled[b] = _sup_of_mean(
-                batch_node_sums[take, i].sum(axis=0),
-                batch_node_count[take].sum(axis=0),
-            )
-        with np.errstate(invalid="ignore"):  # inf moments: the half-width is NaN
-            lo, hi = np.percentile(resampled, [2.5, 97.5])
-        reports.append(
-            MomentReport(
-                p=p,
-                sup_of_mean=stat,
-                mean_of_sup=float(sup_sums[i] / n_samples),
-                integral_term=float(integral_sums[i] / n_samples),
-                blowup_fraction=blow_total / n_samples,
-                n_samples=n_samples,
-                sup_of_mean_ci=float((hi - lo) / 2.0),
-            )
-        )
-    return reports
+    return moment_tables(spec, (grid,), ps, n_samples, seed, u0=u0, workers=workers)[0]
 
 
 def estimate_moments(
@@ -190,12 +262,7 @@ def node_second_moments(
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node mean of value^2 with 95% batch-bootstrap half-widths."""
-    ranges = batch_ranges(n_samples, MOMENT_BATCH_SIZE)
-    results = run_batches(
-        _moment_batch,
-        [(spec, grid, seed, start, count, u0, (2.0,), False) for start, count in ranges],
-        workers=workers,
-    )
+    (results,) = _grid_batches(spec, (grid,), n_samples, seed, u0, (2.0,), False, workers)
     batch_sums = np.stack([r[0][0] for r in results])  # (nb, N+1)
     batch_counts = np.stack([r[1] for r in results])
     sums = batch_sums.sum(axis=0)
@@ -203,14 +270,7 @@ def node_second_moments(
     if np.any(counts == 0):
         raise ValueError("every node needs at least one alive sample")
     means = sums / counts
-
-    n_batches = len(ranges)
-    rng = _bootstrap_rng(seed, _BOOTSTRAP_TAG + 1)
-    draws = rng.integers(0, n_batches, size=(BOOTSTRAP_RESAMPLES, n_batches))
-    resampled = np.empty((BOOTSTRAP_RESAMPLES, means.shape[0]), dtype=np.float64)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        take = draws[b]
-        resampled[b] = batch_sums[take].sum(axis=0) / batch_counts[take].sum(axis=0)
+    resampled = _bootstrap(batch_sums, batch_counts, seed, _BOOTSTRAP_TAG + 1, np.divide)
     lo, hi = np.percentile(resampled, [2.5, 97.5], axis=0)
     return means, (hi - lo) / 2.0
 
@@ -250,22 +310,15 @@ def em_blowup_profile(
     """
     if not np.isfinite(u0):
         raise ValueError("u0 must be finite")
-    rows = []
+    grids = []
     for h_req in h_list:
         h_req = float(h_req)
         if not np.isfinite(h_req) or h_req <= 0.0:
             raise ValueError(f"step sizes must be finite and positive, got {h_req!r}")
-        n_steps = max(1, round(horizon / h_req))
-        grid = TimeGrid(horizon, 0, n_steps)
-        ranges = batch_ranges(n_samples, MOMENT_BATCH_SIZE)
-        results = run_batches(
-            _moment_batch,
-            [
-                (NAIVE_EM, grid, seed, start, count, u0, (2.0,), True)
-                for start, count in ranges
-            ],
-            workers=workers,
-        )
+        grids.append(TimeGrid(horizon, 0, max(1, round(horizon / h_req))))
+    per_grid = _grid_batches(NAIVE_EM, grids, n_samples, seed, u0, (2.0,), True, workers)
+    rows = []
+    for grid, results in zip(grids, per_grid):
         endpoints = np.concatenate([r[5] for r in results])
         rows.append(
             (

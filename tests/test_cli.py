@@ -143,6 +143,11 @@ def test_enkf_general_shape(capsys):
         # the chain overflows; numpy warnings used to precede the error line
         (["enkf", "--J", "40", "--d", "3", "--K", "2", "--h", "1e308", "--steps", "3",
           "--workers", "1"], "anomalies must be finite"),
+        # non-finite orders used to simulate every level, then report overflow
+        (["moments", "--p", "nan", "--levels", "4", "--M", "50", "--workers", "1"],
+         "finite and positive"),
+        (["moments", "--p", "1,inf", "--levels", "4", "--M", "50", "--workers", "1"],
+         "finite and positive"),
     ],
 )
 # pytest captures warnings instead of printing them, so make them fail

@@ -1,9 +1,9 @@
-"""Pinned report bytes of small strong-error, moments, enkf and
+"""Pinned report bytes of small strong-error, moments, blowup, enkf and
 identity-check runs.
 
 The files under ``golden/`` are the stdout of the commands below: for
-strong-error the CSV table, then the rate-fit JSON; for moments and enkf the
-CSV; for identity-check the JSON summary. The bytes depend on numpy's Philox
+strong-error the CSV table, then the rate-fit JSON; for moments, blowup and
+enkf the CSV; for identity-check the JSON summary. The bytes depend on numpy's Philox
 and scipy's ``ndtri``; ``golden/versions.json`` records the versions they
 were made with.
 """
@@ -73,6 +73,24 @@ def test_moments_golden_bytes(workers, capsys):
             "--seed", "1", "--workers", str(workers)]
     assert cli.main(argv) == 0
     assert_golden("moments_weak_tamed.txt", capsys.readouterr().out)
+
+
+# naive Euler from u0 = 3 blows up in 0.2-9 % of the paths at levels 4..7, so
+# the masked nodes of blown-up rows enter every moment
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_moments_golden_bytes_with_blowups(workers, capsys):
+    argv = ["moments", "--scheme", "naive-em", "--u0", "3", "--p", "1,2",
+            "--levels", "4..7", "--M", "1024", "--seed", "1", "--workers", str(workers)]
+    assert cli.main(argv) == 0
+    assert_golden("moments_naive_em_u0_3.txt", capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blowup_golden_bytes(workers, capsys):
+    argv = ["blowup", "--h", "0.2,0.1,0.05", "--u0", "3", "--M", "1024", "--seed", "1",
+            "--workers", str(workers)]
+    assert cli.main(argv) == 0
+    assert_golden("blowup_u0_3.txt", capsys.readouterr().out)
 
 
 def test_identity_check_golden_bytes(capsys):

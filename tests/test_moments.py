@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
-from weaktame.brownian import TimeGrid
+from weaktame import _batching, cli, moments
+from weaktame.brownian import TimeGrid, increment_block
 from weaktame.moments import (
     em_blowup_profile,
     estimate_moments,
     moment_table,
+    moment_tables,
     node_second_moments,
     second_moment_recursion_check,
 )
-from weaktame.schemes import NAIVE_EM, SATURATION_LIMIT, WEAK_TAMED_ENKF
+from weaktame.schemes import (
+    NAIVE_EM,
+    SATURATION_LIMIT,
+    WEAK_TAMED_ENKF,
+    integrate_increments,
+)
 
 
 def test_recursion_check_exact_points():
@@ -67,6 +74,19 @@ def test_moment_table_validation():
         moment_table(WEAK_TAMED_ENKF, grid, (2.0,), 0, seed=0)
 
 
+@pytest.mark.parametrize("ps", [(np.nan,), (1.0, np.inf), (-np.inf,)])
+def test_non_finite_orders_are_rejected_before_simulating(ps, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating p")
+
+    monkeypatch.setattr(moments, "run_batches", no_simulation)
+    grids = [TimeGrid(1.0, 2, 1), TimeGrid(1.0, 3, 1)]
+    with pytest.raises(ValueError, match="finite and positive"):
+        moment_table(WEAK_TAMED_ENKF, grids[0], ps, 100, seed=0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        moment_tables(WEAK_TAMED_ENKF, grids, ps, 100, seed=0)
+
+
 def test_moment_table_matches_single_order_calls():
     grid = TimeGrid(1.0, 3, 1)
     table = moment_table(WEAK_TAMED_ENKF, grid, (1.0, 2.5), 1100, seed=17)
@@ -112,3 +132,173 @@ def test_blowup_profile_validation():
         em_blowup_profile([0.0], 1.0, 10, seed=0)
     with pytest.raises(ValueError):
         em_blowup_profile([0.1], np.inf, 10, seed=0)
+
+
+# Test-local copies of the per-batch reduction and the bootstrap loops that
+# moment_table and node_second_moments ran before the bootstrap was batched
+# over resamples; the library must reproduce them bit for bit.
+
+
+def reference_batch(spec, grid, seed, start, count, u0, ps):
+    values, blow = integrate_increments(spec, grid.h, increment_block(seed, start, count, grid), u0)
+    nodes = np.arange(values.shape[1])
+    valid = (blow[:, None] < 0) | (nodes[None, :] < blow[:, None])
+    absv = np.abs(values)
+    v2 = values * values
+    h = grid.h
+    node_sums = np.empty((len(ps), values.shape[1]))
+    sup_sums = np.empty(len(ps))
+    integral_sums = np.empty(len(ps))
+    path_sup = np.where(valid, absv, 0.0).max(axis=1)
+    with np.errstate(all="ignore"):
+        for i, p in enumerate(ps):
+            node_sums[i] = np.where(valid, absv**p, 0.0).sum(axis=0)
+            sup_sums[i] = float(np.sum(path_sup**p))
+            base = absv / (1.0 + h * v2) ** (2.0 / (p + 2.0))
+            integral_sums[i] = float(h * np.where(valid, base ** (p + 2.0), 0.0).sum())
+    return node_sums, valid.sum(axis=0).astype(np.int64), sup_sums, integral_sums, int((blow >= 0).sum())
+
+
+def reference_batches(spec, grid, n_samples, seed, u0, ps):
+    return [
+        reference_batch(spec, grid, seed, start, min(512, n_samples - start), u0, ps)
+        for start in range(0, n_samples, 512)
+    ]
+
+
+def reference_draws(seed, tag, n_batches):
+    rng = moments._bootstrap_rng(seed, tag)
+    return rng.integers(0, n_batches, size=(200, n_batches))
+
+
+def reference_sup_of_mean(node_sums, node_count):
+    covered = node_count > 0
+    with np.errstate(all="ignore"):
+        return float((node_sums[covered] / node_count[covered]).max())
+
+
+def reference_moment_table(spec, grid, ps, n_samples, seed, u0):
+    results = reference_batches(spec, grid, n_samples, seed, u0, ps)
+    batch_node_sums = np.stack([r[0] for r in results])
+    batch_node_count = np.stack([r[1] for r in results])
+    sup_sums = np.sum([r[2] for r in results], axis=0)
+    integral_sums = np.sum([r[3] for r in results], axis=0)
+    blow_total = sum(r[4] for r in results)
+    node_sums = batch_node_sums.sum(axis=0)
+    node_count = batch_node_count.sum(axis=0)
+    draws = reference_draws(seed, 0xB007, len(results))
+    reports = []
+    for i, p in enumerate(ps):
+        resampled = np.empty(200)
+        for b in range(200):
+            take = draws[b]
+            with np.errstate(over="ignore"):
+                resampled[b] = reference_sup_of_mean(
+                    batch_node_sums[take, i].sum(axis=0), batch_node_count[take].sum(axis=0)
+                )
+        with np.errstate(invalid="ignore"):
+            lo, hi = np.percentile(resampled, [2.5, 97.5])
+        reports.append(
+            moments.MomentReport(
+                p=p,
+                sup_of_mean=reference_sup_of_mean(node_sums[i], node_count),
+                mean_of_sup=float(sup_sums[i] / n_samples),
+                integral_term=float(integral_sums[i] / n_samples),
+                blowup_fraction=blow_total / n_samples,
+                n_samples=n_samples,
+                sup_of_mean_ci=float((hi - lo) / 2.0),
+            )
+        )
+    return reports
+
+
+def reference_node_second_moments(spec, grid, n_samples, seed, u0):
+    results = reference_batches(spec, grid, n_samples, seed, u0, (2.0,))
+    batch_sums = np.stack([r[0][0] for r in results])
+    batch_counts = np.stack([r[1] for r in results])
+    means = batch_sums.sum(axis=0) / batch_counts.sum(axis=0)
+    draws = reference_draws(seed, 0xB007 + 1, len(results))
+    resampled = np.empty((200, means.shape[0]))
+    for b in range(200):
+        take = draws[b]
+        resampled[b] = batch_sums[take].sum(axis=0) / batch_counts[take].sum(axis=0)
+    lo, hi = np.percentile(resampled, [2.5, 97.5], axis=0)
+    return means, (hi - lo) / 2.0
+
+
+BOOTSTRAP_CASES = [
+    # (scheme, u0, samples): 1, 2 and 9 batches of at most 512 rows
+    (spec, u0, n)
+    for spec, u0 in [(WEAK_TAMED_ENKF, 3.0), (NAIVE_EM, 3.0)]
+    for n in (512, 1000, 4400)
+]
+
+
+@pytest.mark.parametrize(
+    "spec, u0, n_samples",
+    BOOTSTRAP_CASES,
+    ids=[f"{c[0].label}-{c[2]}" for c in BOOTSTRAP_CASES],
+)
+def test_batched_bootstrap_matches_the_per_resample_loop(spec, u0, n_samples):
+    grid = TimeGrid(1.0, 5, 1)
+    seed = 11
+    ps = (1.0, 2.0, 2.5)
+    got = moment_table(spec, grid, ps, n_samples, seed, u0=u0)
+    want = reference_moment_table(spec, grid, ps, n_samples, seed, u0)
+    # repr compares every field, sup_of_mean_ci included, NaN and -0.0 too
+    assert repr(got) == repr(want)
+    if spec is NAIVE_EM:
+        assert got[0].blowup_fraction > 0.0
+
+    means, half_widths = node_second_moments(spec, grid, n_samples, seed, u0=u0)
+    want_means, want_half_widths = reference_node_second_moments(spec, grid, n_samples, seed, u0)
+    assert np.array_equal(means, want_means)
+    assert np.array_equal(half_widths, want_half_widths)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_one_pass_over_grids_matches_per_grid_tables(workers):
+    # unsorted levels with one repeated, as from --levels 6,4,6
+    grids = [TimeGrid(1.0, level, 1) for level in (6, 4, 6)]
+    ps = (1.0, 2.0)
+    tables = moment_tables(NAIVE_EM, grids, ps, 1100, seed=5, u0=3.0, workers=workers)
+    singles = [moment_table(NAIVE_EM, g, ps, 1100, seed=5, u0=3.0) for g in grids]
+    assert repr(tables) == repr(singles)
+    assert tables[0][0].blowup_fraction > 0.0
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_moments_cli_runs_every_level_in_one_inline_batch_pass(monkeypatch, capsys):
+    calls = []
+
+    def counting_run_batches(worker, args_per_batch, workers=1):
+        calls.append([args[1].n_steps for args in args_per_batch])
+        return _batching.run_batches(worker, args_per_batch, workers)
+
+    monkeypatch.setattr(moments, "run_batches", counting_run_batches)
+    monkeypatch.setattr(_batching, "ProcessPoolExecutor", _no_pool)
+    argv = ["moments", "--levels", "1..7", "--M", "600", "--seed", "2", "--workers", "1"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    # two batches per level, largest grid first
+    assert calls[0] == [1 << level for level in range(7, 0, -1) for _ in range(2)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [float(ln.split(",")[1]) for ln in lines[1::3]] == [2.0**-k for k in range(1, 8)]
+
+
+def test_blowup_profile_runs_every_step_size_in_one_pass(monkeypatch):
+    hs = [0.1, 0.3, 0.05, 0.1]
+    singles = [em_blowup_profile([h], 3.0, 700, seed=8) for h in hs]
+    calls = []
+
+    def counting_run_batches(worker, args_per_batch, workers=1):
+        calls.append(len(args_per_batch))
+        return _batching.run_batches(worker, args_per_batch, workers)
+
+    monkeypatch.setattr(moments, "run_batches", counting_run_batches)
+    rows = em_blowup_profile(hs, 3.0, 700, seed=8)
+    assert calls == [6]  # three distinct grids of two batches
+    assert repr(rows) == repr([r for (r,) in singles])
