@@ -12,7 +12,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
-__all__ = ["batch_ranges", "run_batches"]
+import numpy as np
+
+__all__ = ["batch_ranges", "bootstrap_rng", "run_batches"]
 
 
 def batch_ranges(n_samples: int, batch_size: int) -> list[tuple[int, int]]:
@@ -25,6 +27,12 @@ def batch_ranges(n_samples: int, batch_size: int) -> list[tuple[int, int]]:
         (start, min(batch_size, n_samples - start))
         for start in range(0, n_samples, batch_size)
     ]
+
+
+def bootstrap_rng(seed: int, tag: int) -> np.random.Generator:
+    """Generator for bootstrap draws in the parent, keyed by (seed, tag)."""
+    key = np.array([int(seed) & (2**64 - 1), tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def run_batches(

@@ -5,7 +5,8 @@ matching module, and emits CSV (plus JSON where stated). With --output the
 main table goes to that file and the fully-resolved config is written next to
 it as <output stem>.config.json; without --output everything goes to stdout.
 
-Exit codes: 0 success, 1 when a property check fails, 2 for usage errors.
+Exit codes: 0 success, 1 when a property check fails, 2 for usage errors
+(including runs too large for memory).
 Environment variables WEAKTAME_SEED and WEAKTAME_WORKERS supply defaults for
 --seed and --workers; explicit flags win.
 """
@@ -452,56 +453,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         workers = _env_int(WORKERS_ENV)
     if workers is None:
         workers = os.cpu_count() or 1
-
-    base = dict(
-        subcommand=args.subcommand, seed=seed, workers=workers, output_path=args.output
-    )
-    sc = args.subcommand
-    if sc == "rates":
-        return ExperimentConfig(**base, alpha_grid=args.alpha_grid, eta_grid=args.eta_grid)
-    if sc == "strong-error":
-        return ExperimentConfig(
-            **base,
-            n_samples=args.n_samples,
-            horizon=args.horizon,
-            u0=args.u0,
-            levels=args.levels,
-            eta=args.eta,
-            alpha=args.alpha,
-            scheme=args.scheme,
-            epsilon=args.epsilon,
-        )
-    if sc == "moments":
-        return ExperimentConfig(
-            **base,
-            n_samples=args.n_samples,
-            horizon=args.horizon,
-            u0=args.u0,
-            levels=args.levels,
-            p_values=args.p_values,
-            scheme=args.scheme,
-            epsilon=args.epsilon,
-        )
-    if sc == "blowup":
-        return ExperimentConfig(
-            **base,
-            n_samples=args.n_samples,
-            horizon=args.horizon,
-            u0=args.u0,
-            h_values=args.h_values,
-        )
-    if sc == "enkf":
-        return ExperimentConfig(
-            **base,
-            ensemble_size=args.ensemble_size,
-            state_dim=args.state_dim,
-            obs_dim=args.obs_dim,
-            step_size=args.step_size,
-            n_steps=args.n_steps,
-        )
-    if sc == "identity-check":
-        return ExperimentConfig(**base, n_samples=args.n_samples)
-    raise UsageError(f"unknown subcommand {sc!r}")
+    # Each subcommand's flags are stored under the config field of the same
+    # name (argparse ``dest``); fields of other subcommands stay None.
+    fields = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name not in ("seed", "workers") and hasattr(args, f.name)
+    }
+    return ExperimentConfig(**fields, seed=seed, workers=workers, output_path=args.output)
 
 
 def main(argv=None) -> int:
@@ -512,6 +471,10 @@ def main(argv=None) -> int:
         return run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses arrays beyond the address space at once, naming the size
+        print(f"error: run too large for memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -44,20 +44,29 @@ def _validated(name: str, x, *, allow_zero: bool = True, nonneg: bool = False):
     return arr
 
 
+def _regularized_pair(u, epsilon):
+    """Unvalidated (drift, diffusion) pair -u^3/(1+eps*u^2), u^2/(1+eps*u^2).
+
+    The one place the regularized coefficients are written; drift,
+    diffusion and the schemes' frozen-coefficient interpolant all use it.
+    """
+    u2 = u * u
+    den = 1.0 + epsilon * u2
+    return -(u2 * u) / den, u2 / den
+
+
 def drift(u, epsilon):
     """Regularized drift -u^3 / (1 + eps*u^2); eps=0 gives the raw cubic."""
     u = _validated("u", u)
     epsilon = _validated("epsilon", epsilon, nonneg=True)
-    u2 = u * u
-    return -(u2 * u) / (1.0 + epsilon * u2)
+    return _regularized_pair(u, epsilon)[0]
 
 
 def diffusion(u, epsilon):
     """Regularized diffusion u^2 / (1 + eps*u^2)."""
     u = _validated("u", u)
     epsilon = _validated("epsilon", epsilon, nonneg=True)
-    u2 = u * u
-    return u2 / (1.0 + epsilon * u2)
+    return _regularized_pair(u, epsilon)[1]
 
 
 def t_tilde(a, b, epsilon):

@@ -10,7 +10,8 @@ deviations from the mean, and carrying deviations makes their antisymmetry an
 exact fixed point of the floating-point iteration. Noise enters the anomaly
 update through pairwise centering, which is bitwise antisymmetric for J=2;
 together with a scalar-division fast path for 1x1 solves, the reduced
-q-sequence reproduces schemes.step(WEAK_TAMED_ENKF, ...) bit for bit.
+q-sequence reproduces schemes.integrate_increments(WEAK_TAMED_ENKF, ...) bit
+for bit.
 
 States built with from_particles center at the rounded particle mean and are
 not guaranteed to keep exact antisymmetry; the reduction identity is exact

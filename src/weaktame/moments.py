@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
 
-from ._batching import batch_ranges, run_batches
+from ._batching import batch_ranges, bootstrap_rng, run_batches
 from .brownian import TimeGrid, increment_block
-from .schemes import NAIVE_EM, WEAK_TAMED_ENKF, SchemeSpec, integrate_increments, step
+from .schemes import NAIVE_EM, WEAK_TAMED_ENKF, SchemeSpec, integrate_increments
 
 __all__ = [
     "MomentReport",
-    "estimate_moments",
     "moment_table",
     "moment_tables",
     "node_second_moments",
@@ -68,13 +66,10 @@ def _moment_batch(
     count: int,
     u0: float,
     ps: tuple[float, ...],
-    keep_endpoints: bool,
 ):
     """Pure per-batch accumulation; everything downstream is an ordered merge."""
     increments = increment_block(seed, start, count, grid)
     values, blow = integrate_increments(spec, grid.h, increments, u0)
-    # taken before masking, so saturated endpoints keep the sentinel
-    endpoints = np.abs(values[:, -1]) if keep_endpoints else None
     n_nodes = values.shape[1]
     valid = _valid_mask(blow, n_nodes)
     # Zero each row from its blow-up on: |0|^p and the integral term at 0 are
@@ -100,12 +95,16 @@ def _moment_batch(
             integral_sums[i] = float(h * np.power(work, p + 2.0, out=work).sum())
     node_count = valid.sum(axis=0).astype(np.int64)
     blow_count = int((blow >= 0).sum())
-    return node_sums, node_count, sup_sums, integral_sums, blow_count, endpoints
+    return node_sums, node_count, sup_sums, integral_sums, blow_count
 
 
-def _bootstrap_rng(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([int(seed) & (2**64 - 1), tag], dtype=np.uint64)
-    return np.random.Generator(Philox(key=key))
+def _endpoint_batch(
+    spec: SchemeSpec, grid: TimeGrid, seed: int, start: int, count: int, u0: float
+) -> np.ndarray:
+    """|endpoint| of every row; saturated rows end at the sentinel."""
+    increments = increment_block(seed, start, count, grid)
+    values, _ = integrate_increments(spec, grid.h, increments, u0)
+    return np.abs(values[:, -1])
 
 
 def _bootstrap(
@@ -119,7 +118,7 @@ def _bootstrap(
     row per resample.
     """
     n_batches = batch_counts.shape[0]
-    rng = _bootstrap_rng(seed, tag)
+    rng = bootstrap_rng(seed, tag)
     draws = rng.integers(0, n_batches, size=(BOOTSTRAP_RESAMPLES, n_batches))
     chunks = np.split(draws, range(_BOOTSTRAP_CHUNK, len(draws), _BOOTSTRAP_CHUNK))
     with np.errstate(over="ignore"):  # resamples of huge moments may sum to inf
@@ -143,16 +142,17 @@ def _sup_of_mean(node_sums: np.ndarray, node_count: np.ndarray) -> np.ndarray:
 
 
 def _grid_batches(
+    batch,
     spec: SchemeSpec,
     grids,
     n_samples: int,
     seed: int,
     u0: float,
-    ps: tuple[float, ...],
-    keep_endpoints: bool,
     workers: int,
+    *extra,
 ) -> list[list]:
-    """Per-grid batch results, in batch order, from one run_batches call.
+    """Per-grid results of ``batch(spec, grid, seed, start, count, u0,
+    *extra)``, in batch order, from one run_batches call.
 
     Each distinct grid is simulated once. Calls go out largest grid first,
     so the last ones to finish are the short ones.
@@ -161,9 +161,9 @@ def _grid_batches(
     ranges = batch_ranges(n_samples, MOMENT_BATCH_SIZE)
     distinct = sorted(dict.fromkeys(grids), key=lambda g: -g.n_steps)
     results = run_batches(
-        _moment_batch,
+        batch,
         [
-            (spec, grid, seed, start, count, u0, ps, keep_endpoints)
+            (spec, grid, seed, start, count, u0, *extra)
             for grid in distinct
             for start, count in ranges
         ],
@@ -223,7 +223,7 @@ def moment_tables(
         raise ValueError("moment orders must be finite and positive")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    per_grid = _grid_batches(spec, grids, n_samples, seed, u0, ps, False, workers)
+    per_grid = _grid_batches(_moment_batch, spec, grids, n_samples, seed, u0, workers, ps)
     return [_merge_moments(results, ps, n_samples, seed) for results in per_grid]
 
 
@@ -240,19 +240,6 @@ def moment_table(
     return moment_tables(spec, (grid,), ps, n_samples, seed, u0=u0, workers=workers)[0]
 
 
-def estimate_moments(
-    spec: SchemeSpec,
-    grid: TimeGrid,
-    p: float,
-    n_samples: int,
-    seed: int,
-    u0: float = 1.0,
-    workers: int = 1,
-) -> MomentReport:
-    """Single-order MomentReport; see moment_table for the field definitions."""
-    return moment_table(spec, grid, (p,), n_samples, seed, u0=u0, workers=workers)[0]
-
-
 def node_second_moments(
     spec: SchemeSpec,
     grid: TimeGrid,
@@ -262,7 +249,7 @@ def node_second_moments(
     workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node mean of value^2 with 95% batch-bootstrap half-widths."""
-    (results,) = _grid_batches(spec, (grid,), n_samples, seed, u0, (2.0,), False, workers)
+    (results,) = _grid_batches(_moment_batch, spec, (grid,), n_samples, seed, u0, workers, (2.0,))
     batch_sums = np.stack([r[0][0] for r in results])  # (nb, N+1)
     batch_counts = np.stack([r[1] for r in results])
     sums = batch_sums.sum(axis=0)
@@ -281,14 +268,12 @@ def second_moment_recursion_check(h: float, u: float, n_nodes: int = 64) -> floa
     u = float(u)
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"h must be finite and positive, got {h!r}")
-    if not np.isfinite(u):
-        raise ValueError("u must be finite")
-    if u == 0.0:
-        return 0.0
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
-    stepped = np.array([step(WEAK_TAMED_ENKF, u, h, float(np.sqrt(h) * zi)) for zi in z])
+    # one step from u for every node: a (n_nodes, 1) batch of increments
+    values, _ = integrate_increments(WEAK_TAMED_ENKF, h, (np.sqrt(h) * z)[:, None], u)
+    stepped = values[:, 1]
     quadrature = float(np.sum(w * stepped**2))
     closed = u * u / (1.0 + h * u * u)
     return abs(quadrature - closed)
@@ -316,10 +301,10 @@ def em_blowup_profile(
         if not np.isfinite(h_req) or h_req <= 0.0:
             raise ValueError(f"step sizes must be finite and positive, got {h_req!r}")
         grids.append(TimeGrid(horizon, 0, max(1, round(horizon / h_req))))
-    per_grid = _grid_batches(NAIVE_EM, grids, n_samples, seed, u0, (2.0,), True, workers)
+    per_grid = _grid_batches(_endpoint_batch, NAIVE_EM, grids, n_samples, seed, u0, workers)
     rows = []
     for grid, results in zip(grids, per_grid):
-        endpoints = np.concatenate([r[5] for r in results])
+        endpoints = np.concatenate(results)
         rows.append(
             (
                 grid.h,

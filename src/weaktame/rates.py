@@ -8,22 +8,14 @@ computes both and their difference instead of guessing which one was meant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "RateParams",
     "effective_rate_strong",
     "rate_corollary",
     "rate_lemma_weak",
     "theorem_exponents",
     "pointwise_exponent_gap",
-    "localization_constant",
-    "one_minus_kappa",
 ]
-
-# Realization of the "h to the power one-minus" convention: an explicit
-# near-one exponent 1 - kappa with this default.
-DEFAULT_KAPPA = 0.01
 
 
 def _require(cond: bool, message: str) -> None:
@@ -35,41 +27,6 @@ def _finite(name: str, x: float) -> float:
     x = float(x)
     _require(math.isfinite(x), f"{name} must be finite, got {x!r}")
     return x
-
-
-@dataclass(frozen=True)
-class RateParams:
-    """Order parameters of the rate machinery.
-
-    p: a-priori sup-moment order; s: pointwise-moment order (s > p);
-    q: target pointwise order (q < s); eta: target sup order (eta < p);
-    alpha, beta: strong-error orders; gamma: stopping-threshold exponent
-    (threshold h^-gamma); delta: localized-error exponent; rho: loss
-    exponent tying delta = (1 - rho*gamma)/2; kappa: the explicit stand-in
-    for "one minus an arbitrarily small exponent".
-    """
-
-    p: float
-    s: float
-    q: float
-    eta: float
-    alpha: float = 1.0
-    beta: float = 0.5
-    gamma: float = 1.0
-    delta: float = 0.5
-    rho: float = 1.0
-    kappa: float = DEFAULT_KAPPA
-
-    def __post_init__(self) -> None:
-        for name in ("p", "s", "q", "eta", "alpha", "beta", "gamma", "delta", "rho", "kappa"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        _require(0.0 < self.eta < self.p, f"need 0 < eta < p, got eta={self.eta}, p={self.p}")
-        _require(0.0 < self.q < self.s, f"need 0 < q < s, got q={self.q}, s={self.s}")
-        _require(self.p < self.s, f"need p < s, got p={self.p}, s={self.s}")
-        _require(self.gamma > 0.0, "gamma must be positive")
-        _require(self.delta > 0.0, "delta must be positive")
-        _require(self.rho > 0.0, "rho must be positive")
-        _require(self.kappa > 0.0, "kappa must be positive")
 
 
 def effective_rate_strong(gamma: float, delta: float, p: float, eta: float) -> float:
@@ -134,18 +91,3 @@ def pointwise_exponent_gap(alpha: float) -> tuple[float, float, float]:
     headline = 0.5 * (3.0 - alpha) / (3.0 + (25.0 / 3.0) * alpha)
     balanced = rate_lemma_weak(1.0, 3.0, alpha, 8.0)
     return headline, balanced, headline - balanced
-
-
-def localization_constant(p: float, eta: float) -> float:
-    """Moment-transfer constant 2^((p-eta)/p) * 2^eta."""
-    p = _finite("p", p)
-    eta = _finite("eta", eta)
-    _require(0.0 < eta < p, f"need 0 < eta < p, got eta={eta}, p={p}")
-    return 2.0 ** ((p - eta) / p + eta)
-
-
-def one_minus_kappa(kappa: float = DEFAULT_KAPPA) -> float:
-    """Concrete exponent for the "one minus" step-size power convention."""
-    kappa = _finite("kappa", kappa)
-    _require(0.0 < kappa < 1.0, f"need 0 < kappa < 1, got {kappa}")
-    return 1.0 - kappa

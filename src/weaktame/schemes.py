@@ -1,6 +1,7 @@
-"""One-step maps, trajectory integrators, and the frozen-coefficient interpolant.
+"""Batch integrator and frozen-coefficient interpolant.
 
-Five explicit schemes for du = -u^3 dt + u^2 dW share one vectorized engine:
+Five explicit schemes for du = -u^3 dt + u^2 dW share one vectorized engine
+that advances a batch of increment rows, one step for all rows at a time:
 
 * ``naive_em``         u + (-h*u^3) + u^2*dW
 * ``weak_tamed_enkf``  both coefficients divided by 1 + h*u^2
@@ -19,21 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import BrownianPath, TimeGrid
+from .coeffs import _regularized_pair
 
 __all__ = [
     "SATURATION_LIMIT",
     "SchemeSpec",
-    "Trajectory",
     "NAIVE_EM",
     "WEAK_TAMED_ENKF",
     "DRIFT_TAMED",
     "INCREMENT_TAMED",
     "regularized_em",
-    "step",
-    "integrate",
     "integrate_increments",
-    "interpolant_values",
     "interpolant_increments",
 ]
 
@@ -85,32 +82,6 @@ def regularized_em(epsilon: float) -> SchemeSpec:
     return SchemeSpec("regularized_em", epsilon)
 
 
-@dataclass(eq=False)
-class Trajectory:
-    """Scheme output on a grid. values[0] is the initial condition.
-
-    blow_up_step is the first node index whose raw update was non-finite or
-    beyond SATURATION_LIMIT; from there on values hold the saturation
-    sentinel and are excluded from moment statistics.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    blow_up_step: int | None = None
-    saturated: bool = False
-
-    def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != (self.grid.n_steps + 1,):
-            raise ValueError(
-                f"expected {self.grid.n_steps + 1} values, got shape {vals.shape}"
-            )
-        self.values = vals
-        if self.blow_up_step is not None:
-            self.blow_up_step = int(self.blow_up_step)
-            self.saturated = True
-
-
 def _regularized_update(u, h, eps, dw):
     # Frozen operation order shared by weak_tamed_enkf, regularized_em, and
     # the scalar EnKF reduction: u2, den, gain, drift add, noise add.
@@ -134,22 +105,6 @@ def _raw_update(variant: str, eps: float | None, u, h, dw):
     # increment_tamed
     incr = -(h * (u2 * u)) + u2 * dw
     return u + incr / np.maximum(1.0, np.abs(incr))
-
-
-def step(spec: SchemeSpec, u: float, h: float, dW: float) -> float:
-    """One update of ``spec`` from state u with step h and noise increment dW."""
-    u = float(u)
-    h = float(h)
-    dW = float(dW)
-    if not np.isfinite(h) or h <= 0.0:
-        raise ValueError(f"h must be finite and positive, got {h!r}")
-    if not (np.isfinite(u) and np.isfinite(dW)):
-        raise ValueError("u and dW must be finite")
-    with np.errstate(all="ignore"):
-        out = _raw_update(
-            spec.variant, spec.epsilon, np.float64(u), np.float64(h), np.float64(dW)
-        )
-    return float(out)
 
 
 def integrate_increments(
@@ -210,19 +165,6 @@ def integrate_increments(
     return np.ascontiguousarray(values_t.T), blow
 
 
-def integrate(
-    spec: SchemeSpec, grid: TimeGrid, path: BrownianPath, u0: float
-) -> Trajectory:
-    """Run ``spec`` along ``path``. The path must live on ``grid``."""
-    if path.grid != grid:
-        raise ValueError(
-            f"path grid {path.grid} does not match integration grid {grid}"
-        )
-    values, blow = integrate_increments(spec, grid.h, path.increments[None, :], u0)
-    blow_step = None if blow[0] < 0 else int(blow[0])
-    return Trajectory(grid=grid, values=values[0], blow_up_step=blow_step)
-
-
 def _frozen_coefficients(variant: str, eps: float | None, h_coarse: float, v):
     """Drift and diffusion frozen at the step's left node, per scheme.
 
@@ -232,11 +174,9 @@ def _frozen_coefficients(variant: str, eps: float | None, h_coarse: float, v):
     increment, which the frozen-coefficient form cannot express, so its
     interpolant uses the raw pair (convention documented in the README).
     """
-    v2 = v * v
     if variant in ("weak_tamed_enkf", "regularized_em"):
-        e = h_coarse if variant == "weak_tamed_enkf" else eps
-        den = 1.0 + e * v2
-        return -(v2 * v) / den, v2 / den
+        return _regularized_pair(v, h_coarse if variant == "weak_tamed_enkf" else eps)
+    v2 = v * v
     if variant == "drift_tamed":
         cube = v2 * v
         return -cube / (1.0 + h_coarse * np.abs(cube)), v2
@@ -315,37 +255,3 @@ def interpolant_increments(
             )
             values = np.where(ok, values, clamped)
     return values, saturated_row
-
-
-def interpolant_values(
-    spec: SchemeSpec, coarse: Trajectory, fine_path: BrownianPath
-) -> Trajectory:
-    """Interpolate ``coarse`` (produced on coarsen(fine_path)) onto the fine grid."""
-    fine_grid = fine_path.grid
-    nc = coarse.grid.n_steps
-    nf = fine_grid.n_steps
-    if nf % nc:
-        raise ValueError(f"fine grid ({nf} steps) does not refine {nc} steps")
-    factor = nf // nc
-    if factor & (factor - 1):
-        raise ValueError(f"refinement factor {factor} is not a power of two")
-    if coarse.grid.horizon != fine_grid.horizon:
-        raise ValueError("grids span different horizons")
-    values, sat = interpolant_increments(
-        spec,
-        coarse.values[None, :],
-        coarse.grid.h,
-        fine_path.increments[None, :],
-        fine_grid.h,
-    )
-    row = values[0]
-    blow_step = None
-    if sat[0]:
-        bad = ~(np.abs(row) < SATURATION_LIMIT)
-        bad[0] = False
-        idx = np.nonzero(bad)[0]
-        blow_step = int(idx[0]) if idx.size else None
-    if coarse.blow_up_step is not None:
-        inherited = coarse.blow_up_step * factor
-        blow_step = inherited if blow_step is None else min(blow_step, inherited)
-    return Trajectory(grid=fine_grid, values=row, blow_up_step=blow_step)

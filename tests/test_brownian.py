@@ -1,20 +1,18 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from weaktame.brownian import (
-    BrownianPath,
     TimeGrid,
-    coarsen,
     coarsen_increments,
-    dump_path,
     increment_block,
-    load_path,
-    sample_path,
     standard_normals,
 )
+
+
+def sample_path(seed, sample_index, grid):
+    """Reference increments of one sample, from one freshly keyed Philox."""
+    return np.sqrt(grid.h) * standard_normals(seed, sample_index, grid.n_steps)
 
 
 def test_grid_normalizes_to_odd_base():
@@ -29,7 +27,7 @@ def test_grid_h_and_times():
     g = TimeGrid(2.0, 3, 1)
     assert g.n_steps == 8
     assert g.h == 0.25
-    t = g.times()
+    t = np.arange(g.n_steps + 1) * g.h
     assert t[0] == 0.0 and t[-1] == 2.0
     assert np.allclose(np.diff(t), g.h)
 
@@ -47,14 +45,6 @@ def test_grid_h_and_times():
 def test_grid_rejects_bad_fields(kwargs):
     with pytest.raises(ValueError):
         TimeGrid(**{"horizon": 1.0, "level": 0, "base": 1, **kwargs})
-
-
-def test_refine_coarsen_round_trip():
-    g = TimeGrid(1.0, 4, 3)
-    assert g.refined(2).coarsened(2) == g
-    assert g.refined(2).n_steps == 4 * g.n_steps
-    with pytest.raises(ValueError):
-        g.coarsened(5)  # only 4 levels to give
 
 
 @given(st.integers(0, 20), st.integers(1, 1000))
@@ -84,9 +74,7 @@ def test_sample_path_matches_block():
     block = increment_block(3, 10, 4, grid)
     assert block.shape == (4, grid.n_steps)
     for i in range(4):
-        path = sample_path(3, 10 + i, grid)
-        assert np.array_equal(path.increments, block[i])
-        assert path.grid == grid
+        assert np.array_equal(sample_path(3, 10 + i, grid), block[i])
 
 
 @pytest.mark.parametrize("seed, first_index", [(3, 10), (2**64 - 1, 2**40)])
@@ -99,7 +87,7 @@ def test_increment_block_window_is_a_slice_of_the_full_rows(
     window = increment_block(seed, first_index, 3, grid, first_step=first_step, steps=steps)
     assert window.shape == (3, steps)
     for i in range(3):
-        full = sample_path(seed, first_index + i, grid).increments
+        full = sample_path(seed, first_index + i, grid)
         assert np.array_equal(window[i], full[first_step : first_step + steps])
 
 
@@ -111,14 +99,6 @@ def test_increment_block_window_is_a_slice_of_the_full_rows(
 def test_increment_block_rejects_bad_windows(first_step, steps):
     with pytest.raises(ValueError):
         increment_block(0, 0, 2, TimeGrid(1.0, 5, 1), first_step=first_step, steps=steps)
-
-
-def test_path_values_are_cumsum():
-    grid = TimeGrid(1.0, 3, 1)
-    path = sample_path(0, 0, grid)
-    vals = path.values()
-    assert vals[0] == 0.0
-    assert np.array_equal(vals[1:], np.cumsum(path.increments))
 
 
 def test_increment_variance_scales_with_h():
@@ -169,46 +149,9 @@ def test_coarsen_increments_matches_reshape_sum(factor):
     )
 
 
-def test_coarsen_path_drops_levels():
-    fine = sample_path(5, 2, TimeGrid(1.0, 6, 1))
-    coarse = coarsen(fine, 4)
-    assert coarse.grid == TimeGrid(1.0, 4, 1)
-    assert coarse.increments.shape == (16,)
-    assert np.array_equal(
-        coarse.increments, coarsen_increments(fine.increments[None, :], 4)[0]
-    )
-
-
 def test_coarsen_rejects_non_divisor():
-    path = sample_path(5, 2, TimeGrid(1.0, 2, 3))  # 12 steps
+    increments = sample_path(5, 2, TimeGrid(1.0, 2, 3))  # 12 steps
     with pytest.raises(ValueError):
-        coarsen(path, 5)
-
-
-def test_dump_load_round_trip_bits():
-    path = sample_path(17, 23, TimeGrid(2.5, 4, 3))
-    buf = io.BytesIO()
-    dump_path(path, buf)
-    buf.seek(0)
-    back = load_path(buf)
-    assert back.grid == path.grid
-    assert np.array_equal(back.increments, path.increments)
-
-
-def test_load_rejects_foreign_bytes():
+        coarsen_increments(increments, 5)
     with pytest.raises(ValueError):
-        load_path(io.BytesIO(b"not a path dump at all....."))
-
-
-def test_paths_compare_by_identity_not_value():
-    # eq=False: distinct objects with equal content stay distinct
-    a = sample_path(1, 1, TimeGrid(1.0, 2, 1))
-    b = sample_path(1, 1, TimeGrid(1.0, 2, 1))
-    assert a != b
-    assert np.array_equal(a.increments, b.increments)
-
-
-def test_manual_path_construction_validates():
-    grid = TimeGrid(1.0, 2, 1)
-    with pytest.raises(ValueError):
-        BrownianPath(grid=grid, increments=np.zeros(3))  # needs 4
+        coarsen_increments(increments, 0)

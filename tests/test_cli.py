@@ -1,6 +1,7 @@
 """Driver-level tests: argument handling, CSV/JSON output, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,12 @@ def test_enkf_general_shape(capsys):
          "finite and positive"),
         (["moments", "--p", "1,inf", "--levels", "4", "--M", "50", "--workers", "1"],
          "finite and positive"),
+        # h * u overflows in the reference; this used to end in a RuntimeError
+        (["strong-error", "--T", "1e300", "--u0", "1e150", "--levels", "0..3", "--M", "10",
+          "--workers", "1"], "overflow float64"),
+        # 80 PiB of increments, beyond the address space: numpy refuses at
+        # once, and this used to end in a MemoryError traceback
+        (["moments", "--levels", "50", "--M", "10", "--workers", "1"], "too large for memory"),
     ],
 )
 # pytest captures warnings instead of printing them, so make them fail
@@ -236,3 +243,31 @@ def test_parse_config_rejects_unknown_keys():
     text = json.dumps({"subcommand": "rates", "nonsense": 1})
     with pytest.raises(ValueError, match="nonsense"):
         cli.parse_config(text)
+
+
+SIDECAR_CASES = [
+    ("rates", ["rates", "--alpha-grid", "1.0", "--eta-grid", "0.5"]),
+    ("strong_error", ["strong-error"]),
+    ("moments", ["moments"]),
+    ("moments_regularized", ["moments", "--scheme", "regularized-em", "--epsilon", "0.1"]),
+    ("blowup", ["blowup"]),
+    ("enkf", ["enkf"]),
+    ("identity_check", ["identity-check"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", SIDECAR_CASES, ids=[c[0] for c in SIDECAR_CASES])
+def test_default_config_sidecar_bytes_are_pinned(name, argv, tmp_path, monkeypatch):
+    # Every flag resolved into the config of a default run: a field dropped,
+    # renamed or defaulted differently changes these bytes. The runners are
+    # replaced by one that only delivers, so nothing is simulated.
+    def deliver_only(config):
+        cli._deliver(config, "")
+        return 0
+
+    for subcommand in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, subcommand, deliver_only)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--workers", "1", "-o", "out.csv"]) == 0
+    pinned = Path(__file__).parent / "golden" / "sidecars" / f"{name}.config.json"
+    assert (tmp_path / "out.config.json").read_bytes() == pinned.read_bytes()

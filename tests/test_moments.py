@@ -7,7 +7,6 @@ from weaktame import _batching, cli, moments
 from weaktame.brownian import TimeGrid, increment_block
 from weaktame.moments import (
     em_blowup_profile,
-    estimate_moments,
     moment_table,
     moment_tables,
     node_second_moments,
@@ -46,7 +45,7 @@ def test_recursion_check_validation():
 
 def test_weak_tamed_report_small():
     grid = TimeGrid(1.0, 3, 1)
-    rep = estimate_moments(WEAK_TAMED_ENKF, grid, 2.0, 1200, seed=5)
+    (rep,) = moment_table(WEAK_TAMED_ENKF, grid, (2.0,), 1200, seed=5)
     # second moment decays from u0, so the node sup sits at t=0 and equals u0^2
     assert rep.sup_of_mean == 1.0
     assert rep.sup_of_mean_ci == 0.0
@@ -58,7 +57,7 @@ def test_weak_tamed_report_small():
 
 def test_naive_em_diverges_from_large_start():
     grid = TimeGrid(1.0, 0, 10)
-    rep = estimate_moments(NAIVE_EM, grid, 2.0, 600, seed=5, u0=10.0)
+    (rep,) = moment_table(NAIVE_EM, grid, (2.0,), 600, seed=5, u0=10.0)
     assert rep.blowup_fraction > 0.99
     assert rep.sup_of_mean > 1e50
     assert rep.mean_of_sup > 1e50
@@ -91,7 +90,7 @@ def test_moment_table_matches_single_order_calls():
     grid = TimeGrid(1.0, 3, 1)
     table = moment_table(WEAK_TAMED_ENKF, grid, (1.0, 2.5), 1100, seed=17)
     for rep in table:
-        solo = estimate_moments(WEAK_TAMED_ENKF, grid, rep.p, 1100, seed=17)
+        (solo,) = moment_table(WEAK_TAMED_ENKF, grid, (rep.p,), 1100, seed=17)
         assert solo == rep
 
 
@@ -167,7 +166,7 @@ def reference_batches(spec, grid, n_samples, seed, u0, ps):
 
 
 def reference_draws(seed, tag, n_batches):
-    rng = moments._bootstrap_rng(seed, tag)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, tag], dtype=np.uint64)))
     return rng.integers(0, n_batches, size=(200, n_batches))
 
 

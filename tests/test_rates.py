@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weaktame.rates import (
-    DEFAULT_KAPPA,
-    RateParams,
     effective_rate_strong,
-    localization_constant,
-    one_minus_kappa,
     pointwise_exponent_gap,
     rate_corollary,
     rate_lemma_weak,
@@ -45,11 +41,6 @@ def test_pointwise_gap_reports_both_forms():
     assert balanced == 2.0 / 31.0
     assert diff == headline - balanced
     assert diff > 0.02  # the two printed forms genuinely disagree
-
-
-def test_localization_constant_exact_at_half():
-    assert localization_constant(1.0, 0.5) == 2.0
-    assert localization_constant(2.0, 1.0) == 2.0 ** (0.5 + 1.0)
 
 
 def test_effective_rate_takes_min():
@@ -89,22 +80,14 @@ def test_lemma_weak_below_one_half(q):
 
 
 def test_rate_params_validation():
-    params = RateParams(p=2.0, s=3.0, q=1.0, eta=0.5)
-    assert params.kappa == DEFAULT_KAPPA
+    # each exponent rejects order parameters outside its lemma's domain
     with pytest.raises(ValueError):
-        RateParams(p=2.0, s=3.0, q=1.0, eta=2.5)  # eta >= p
+        effective_rate_strong(1.0, 0.5, 2.0, 2.5)  # eta >= p
     with pytest.raises(ValueError):
-        RateParams(p=2.0, s=3.0, q=3.5, eta=0.5)  # q >= s
+        rate_lemma_weak(2.0, 3.0, 3.5, 8.0)  # q >= s
     with pytest.raises(ValueError):
-        RateParams(p=3.0, s=2.0, q=1.0, eta=0.5)  # p >= s
+        rate_lemma_weak(3.0, 2.0, 1.0, 8.0)  # p >= s
     with pytest.raises(ValueError):
-        RateParams(p=2.0, s=3.0, q=1.0, eta=0.5, rho=0.0)
-
-
-def test_one_minus_kappa():
-    assert one_minus_kappa() == 0.99
-    assert one_minus_kappa(0.5) == 0.5
+        rate_lemma_weak(2.0, 3.0, 1.0, 0.0)  # rho <= 0
     with pytest.raises(ValueError):
-        one_minus_kappa(0.0)
-    with pytest.raises(ValueError):
-        one_minus_kappa(1.0)
+        rate_corollary(2.0, 0.5, 0.0)  # rho <= 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaktame.brownian import BrownianPath, TimeGrid, coarsen, sample_path
+from weaktame.brownian import TimeGrid, coarsen_increments, increment_block
 from weaktame.schemes import (
     DRIFT_TAMED,
     INCREMENT_TAMED,
@@ -10,15 +10,39 @@ from weaktame.schemes import (
     SATURATION_LIMIT,
     WEAK_TAMED_ENKF,
     SchemeSpec,
-    Trajectory,
-    integrate,
     integrate_increments,
-    interpolant_values,
+    interpolant_increments,
     regularized_em,
-    step,
 )
 
 ALL_SPECS = [NAIVE_EM, WEAK_TAMED_ENKF, DRIFT_TAMED, INCREMENT_TAMED, regularized_em(0.25)]
+
+
+def step(spec, u, h, dw):
+    """One step of the batch engine from u, as a (1, 1) batch."""
+    values, _ = integrate_increments(spec, h, np.array([[dw]]), u)
+    return float(values[0, 1])
+
+
+def scalar_step(spec, u, h, dw):
+    """Each scheme's update in Python floats, in the engine's operation order."""
+    u2 = u * u
+    if spec.variant in ("weak_tamed_enkf", "regularized_em"):
+        eps = h if spec.variant == "weak_tamed_enkf" else spec.epsilon
+        gain = u2 / (eps * u2 + 1.0)
+        return (u + gain * (-(h * u))) + gain * dw
+    if spec.variant == "naive_em":
+        return (u + -(h * (u2 * u))) + u2 * dw
+    if spec.variant == "drift_tamed":
+        t = -(h * (u2 * u))
+        return (u + t / (1.0 + abs(t))) + u2 * dw
+    incr = -(h * (u2 * u)) + u2 * dw
+    return u + incr / max(1.0, abs(incr))
+
+
+def row(seed, sample_index, grid):
+    """The increments of one sample as a (1, N) batch."""
+    return increment_block(seed, sample_index, 1, grid)
 
 
 def test_spec_validation():
@@ -50,8 +74,8 @@ def test_step_validates_inputs():
         step(WEAK_TAMED_ENKF, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         step(WEAK_TAMED_ENKF, np.nan, 0.1, 0.0)
-    with pytest.raises(ValueError):
-        step(WEAK_TAMED_ENKF, 1.0, 0.1, np.inf)
+    # a non-finite increment is a blow-up, saturated rather than raised
+    assert step(WEAK_TAMED_ENKF, 1.0, 0.1, np.inf) == SATURATION_LIMIT
 
 
 def test_comparator_closed_forms():
@@ -80,51 +104,52 @@ def test_weak_tamed_deterministic_contraction(u, h):
 
 def test_weak_tamed_equals_regularized_at_eps_h():
     grid = TimeGrid(1.0, 6, 1)
-    path = sample_path(9, 0, grid)
-    wt = integrate(WEAK_TAMED_ENKF, grid, path, 1.3)
-    reg = integrate(regularized_em(grid.h), grid, path, 1.3)
-    assert np.array_equal(wt.values, reg.values)
-    assert wt.blow_up_step == reg.blow_up_step
+    increments = row(9, 0, grid)
+    wt, wt_blow = integrate_increments(WEAK_TAMED_ENKF, grid.h, increments, 1.3)
+    reg, reg_blow = integrate_increments(regularized_em(grid.h), grid.h, increments, 1.3)
+    assert np.array_equal(wt, reg)
+    assert np.array_equal(wt_blow, reg_blow)
 
 
 def test_integrate_matches_scalar_step_loop():
     grid = TimeGrid(1.0, 4, 1)
-    path = sample_path(2, 5, grid)
+    increments = row(2, 5, grid)
     for spec in ALL_SPECS:
-        traj = integrate(spec, grid, path, 0.8)
+        values, blow = integrate_increments(spec, grid.h, increments, 0.8)
         u = 0.8
-        for n, dw in enumerate(path.increments):
-            u = step(spec, u, grid.h, dw)
-            assert traj.values[n + 1] == u
-        assert traj.blow_up_step is None
+        for n, dw in enumerate(increments[0].tolist()):
+            u = scalar_step(spec, u, grid.h, dw)
+            assert values[0, n + 1] == u
+        assert blow[0] == -1
 
 
 def test_integrate_rejects_grid_mismatch():
-    path = sample_path(2, 5, TimeGrid(1.0, 4, 1))
+    # increments and u0 must agree on the batch shape
+    increments = row(2, 5, TimeGrid(1.0, 4, 1))
     with pytest.raises(ValueError):
-        integrate(WEAK_TAMED_ENKF, TimeGrid(1.0, 5, 1), path, 1.0)
+        integrate_increments(WEAK_TAMED_ENKF, 1 / 16, increments, np.ones(2))
+    with pytest.raises(ValueError):
+        integrate_increments(WEAK_TAMED_ENKF, 1 / 16, increments[0], 1.0)
 
 
 def test_zero_initial_condition_stays_zero():
     grid = TimeGrid(1.0, 5, 1)
-    path = sample_path(0, 1, grid)
+    increments = row(0, 1, grid)
     for spec in ALL_SPECS:
-        assert not integrate(spec, grid, path, 0.0).values.any()
+        assert not integrate_increments(spec, grid.h, increments, 0.0)[0].any()
 
 
 def test_naive_em_blowup_flagged_and_saturated():
-    grid = TimeGrid(1.0, 0, 10)  # h = 0.1
-    quiet = BrownianPath(grid=grid, increments=np.zeros(grid.n_steps))
-    traj = integrate(NAIVE_EM, grid, quiet, 10.0)
-    assert abs(traj.values[3]) > 1e10
-    assert traj.blow_up_step is not None
-    assert traj.saturated
-    tail = traj.values[traj.blow_up_step :]
+    quiet = np.zeros((1, 10))  # h = 0.1 on [0, 1]
+    values, blow = integrate_increments(NAIVE_EM, 0.1, quiet, 10.0)
+    assert abs(values[0, 3]) > 1e10
+    assert blow[0] > 0
+    tail = values[0, blow[0] :]
     assert np.all(np.abs(tail) == SATURATION_LIMIT)
     # weak-tamed on the same path stays tame
-    wt = integrate(WEAK_TAMED_ENKF, grid, quiet, 10.0)
-    assert wt.blow_up_step is None
-    assert np.abs(wt.values).max() == 10.0
+    wt, wt_blow = integrate_increments(WEAK_TAMED_ENKF, 0.1, quiet, 10.0)
+    assert wt_blow[0] == -1
+    assert np.abs(wt).max() == 10.0
 
 
 def test_naive_em_expands_above_threshold():
@@ -162,57 +187,46 @@ def test_batch_engine_repairs_nan_with_previous_sign():
     assert np.all(values[0, 2:] == -SATURATION_LIMIT)
 
 
-def test_trajectory_validates_length():
-    with pytest.raises(ValueError):
-        Trajectory(grid=TimeGrid(1.0, 2, 1), values=np.zeros(3))
-
-
 def test_interpolant_identity_at_factor_one():
     grid = TimeGrid(1.0, 4, 1)
-    path = sample_path(4, 7, grid)
-    traj = integrate(WEAK_TAMED_ENKF, grid, path, 1.0)
-    same = interpolant_values(WEAK_TAMED_ENKF, traj, path)
-    assert np.array_equal(same.values, traj.values)
+    increments = row(4, 7, grid)
+    values, _ = integrate_increments(WEAK_TAMED_ENKF, grid.h, increments, 1.0)
+    same, saturated = interpolant_increments(
+        WEAK_TAMED_ENKF, values, grid.h, increments, grid.h
+    )
+    assert np.array_equal(same, values)
+    assert not saturated[0]
 
 
 def test_interpolant_copies_coarse_nodes_bitwise():
     fine_grid = TimeGrid(1.0, 6, 1)
-    fine_path = sample_path(8, 3, fine_grid)
-    coarse_path = coarsen(fine_path, 4)
+    fine = row(8, 3, fine_grid)
+    coarse = coarsen_increments(fine, 4)
+    h_coarse = 4 * fine_grid.h
     for spec in ALL_SPECS:
-        coarse = integrate(spec, coarse_path.grid, coarse_path, 1.1)
-        interp = interpolant_values(spec, coarse, fine_path)
-        assert interp.grid == fine_grid
-        assert np.array_equal(interp.values[::4], coarse.values)
+        values, _ = integrate_increments(spec, h_coarse, coarse, 1.1)
+        interp, _ = interpolant_increments(spec, values, h_coarse, fine, fine_grid.h)
+        assert interp.shape == (1, fine_grid.n_steps + 1)
+        assert np.array_equal(interp[:, ::4], values)
 
 
 def test_interpolant_zero_noise_midpoint():
     # one coarse step split in two: midpoint = v0 + (h/2) f(v0) with the
     # weak-tamed frozen drift f(v) = -v^3/(1 + h_coarse v^2)
-    fine_grid = TimeGrid(1.0, 1, 1)
-    coarse_grid = TimeGrid(1.0, 0, 1)
-    quiet_fine = BrownianPath(grid=fine_grid, increments=np.zeros(2))
+    quiet_fine = np.zeros((1, 2))
     v0 = 1.4
-    coarse = integrate(WEAK_TAMED_ENKF, coarse_grid, coarsen(quiet_fine, 2), v0)
-    interp = interpolant_values(WEAK_TAMED_ENKF, coarse, quiet_fine)
-    frozen_drift = -(v0**3) / (1.0 + coarse_grid.h * v0**2)
-    assert interp.values[1] == pytest.approx(v0 + 0.5 * frozen_drift, rel=1e-15)
-
-
-def test_interpolant_rejects_non_power_of_two_refinement():
-    fine = sample_path(1, 0, TimeGrid(1.0, 0, 3))
-    coarse_traj = integrate(
-        WEAK_TAMED_ENKF, TimeGrid(1.0, 0, 1), coarsen(fine, 3), 1.0
+    coarse, _ = integrate_increments(
+        WEAK_TAMED_ENKF, 1.0, coarsen_increments(quiet_fine, 2), v0
     )
-    with pytest.raises(ValueError):
-        interpolant_values(WEAK_TAMED_ENKF, coarse_traj, fine)
+    interp, _ = interpolant_increments(WEAK_TAMED_ENKF, coarse, 1.0, quiet_fine, 0.5)
+    frozen_drift = -(v0**3) / (1.0 + 1.0 * v0**2)
+    assert interp[0, 1] == pytest.approx(v0 + 0.5 * frozen_drift, rel=1e-15)
 
 
 def test_interpolant_inherits_coarse_blowup():
-    fine_grid = TimeGrid(1.0, 1, 5)  # 10 fine steps, h=0.1 coarse after /2
-    quiet = BrownianPath(grid=fine_grid, increments=np.zeros(10))
-    coarse = integrate(NAIVE_EM, TimeGrid(1.0, 0, 5), coarsen(quiet, 2), 10.0)
-    assert coarse.blow_up_step is not None
-    interp = interpolant_values(NAIVE_EM, coarse, quiet)
-    assert interp.blow_up_step is not None
-    assert interp.blow_up_step <= coarse.blow_up_step * 2
+    quiet = np.zeros((1, 10))  # fine h = 0.1, coarse h = 0.2
+    coarse, blow = integrate_increments(NAIVE_EM, 0.2, coarsen_increments(quiet, 2), 10.0)
+    assert blow[0] > 0
+    interp, saturated = interpolant_increments(NAIVE_EM, coarse, 0.2, quiet, 0.1)
+    assert saturated[0]
+    assert np.all(np.abs(interp[0, 2 * blow[0] :]) == SATURATION_LIMIT)

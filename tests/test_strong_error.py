@@ -25,7 +25,7 @@ def small_run(**kw):
 
 def test_small_run_shape_and_decay():
     res = small_run()
-    assert len(res) == len(LEVELS)
+    assert len(res.stats) == len(LEVELS)
     assert res.reference_check is None
     for s, level in zip(res, LEVELS):
         assert s.level == level
@@ -35,7 +35,7 @@ def test_small_run_shape_and_decay():
         assert s.blowup_count == 0
         assert s.eta_error > 0.0 and s.alpha_error > 0.0
         assert s.ci_halfwidth > 0.0
-    for prev, cur in zip(res, res[1:]):
+    for prev, cur in zip(res.stats, res.stats[1:]):
         assert cur.eta_error < prev.eta_error
         assert cur.alpha_error < prev.alpha_error
 
