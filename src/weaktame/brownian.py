@@ -22,6 +22,8 @@ __all__ = [
 ]
 
 _U64_MASK = (1 << 64) - 1
+# float64 items one array can hold: numpy caps an array at intp.max bytes.
+_MAX_FLOAT64_ITEMS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,9 @@ class TimeGrid:
         while base % 2 == 0:
             base //= 2
             level += 1
+        if (base << level) + 1 > _MAX_FLOAT64_ITEMS:
+            steps = f"2**{level}" if base == 1 else f"{base} * 2**{level}"
+            raise ValueError(f"a grid of {steps} steps is too large for a float64 array")
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "base", base)

@@ -328,7 +328,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0.0 or stop < start:
             raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
-        n = int(round((stop - start) / step)) + 1
+        points = (stop - start) / step  # inf or nan past float64's range
+        if not math.isfinite(points):
+            raise argparse.ArgumentTypeError(f"grid {text!r} has no finite point count")
+        n = int(round(points)) + 1
         return tuple(start + i * step for i in range(n))
     return tuple(float(tok) for tok in text.split(","))
 
@@ -340,7 +343,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 def _parse_count(text: str) -> int:
     """Positive integer, also accepted in float notation like 1e6."""
     value = float(text)
-    n = int(round(value))
+    n = int(round(value)) if math.isfinite(value) else 0
     if n <= 0 or abs(value - n) > 1e-9 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"expected a positive integer count, got {text!r}")
     return n

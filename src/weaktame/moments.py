@@ -29,6 +29,7 @@ __all__ = [
 MOMENT_BATCH_SIZE = 512
 BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
+_HERMITE_NODES = 64  # Gauss-Hermite nodes of the second-moment recursion check
 # Resamples summed per numpy call; the gathered block is this many copies of
 # the stacked batch sums.
 _BOOTSTRAP_CHUNK = 10
@@ -262,16 +263,16 @@ def node_second_moments(
     return means, (hi - lo) / 2.0
 
 
-def second_moment_recursion_check(h: float, u: float, n_nodes: int = 64) -> float:
+def second_moment_recursion_check(h: float, u: float) -> float:
     """|Gauss-Hermite E[step^2] - u^2/(1+h u^2)| for the weak-tamed step."""
     h = float(h)
     u = float(u)
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"h must be finite and positive, got {h!r}")
-    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
     z = np.sqrt(2.0) * nodes
     w = weights / np.sqrt(np.pi)
-    # one step from u for every node: a (n_nodes, 1) batch of increments
+    # one step from u for every node: a (_HERMITE_NODES, 1) batch of increments
     values, _ = integrate_increments(WEAK_TAMED_ENKF, h, (np.sqrt(h) * z)[:, None], u)
     stepped = values[:, 1]
     quadrature = float(np.sum(w * stepped**2))

@@ -65,18 +65,21 @@ def rate_lemma_weak(p: float, s: float, q: float, rho: float) -> float:
     return p * gap / (2.0 * p * gap + (p + rho) * q * s)
 
 
+def _pointwise_headline(alpha: float) -> float:
+    alpha = _finite("alpha", alpha)
+    _require(0.0 < alpha < 2.0, f"need 0 < alpha < 2, got {alpha}")
+    return 0.5 * (3.0 - alpha) / (3.0 + (25.0 / 3.0) * alpha)
+
+
 def theorem_exponents(alpha: float, eta: float) -> tuple[float, float]:
     """Main strong-convergence exponents (pointwise order alpha, sup order eta).
 
     Returns ((1/2)(3-alpha)/(3+25/3*alpha), (1/2)(1-eta)/(1+3*eta)).
     """
-    alpha = _finite("alpha", alpha)
+    pointwise = _pointwise_headline(alpha)
     eta = _finite("eta", eta)
-    _require(0.0 < alpha < 2.0, f"need 0 < alpha < 2, got {alpha}")
     _require(0.0 < eta < 1.0, f"need 0 < eta < 1, got {eta}")
-    pointwise = 0.5 * (3.0 - alpha) / (3.0 + (25.0 / 3.0) * alpha)
-    uniform = 0.5 * (1.0 - eta) / (1.0 + 3.0 * eta)
-    return pointwise, uniform
+    return pointwise, 0.5 * (1.0 - eta) / (1.0 + 3.0 * eta)
 
 
 def pointwise_exponent_gap(alpha: float) -> tuple[float, float, float]:
@@ -86,8 +89,6 @@ def pointwise_exponent_gap(alpha: float) -> tuple[float, float, float]:
     rate_lemma_weak(1, 3, alpha, 8) = (3-alpha)/(6+25*alpha) do not agree
     (at alpha=1: 3/34 vs 2/31). Both are reported; no adjudication.
     """
-    alpha = _finite("alpha", alpha)
-    _require(0.0 < alpha < 2.0, f"need 0 < alpha < 2, got {alpha}")
-    headline = 0.5 * (3.0 - alpha) / (3.0 + (25.0 / 3.0) * alpha)
+    headline = _pointwise_headline(alpha)
     balanced = rate_lemma_weak(1.0, 3.0, alpha, 8.0)
     return headline, balanced, headline - balanced

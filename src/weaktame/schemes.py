@@ -209,10 +209,6 @@ def interpolant_increments(
         raise ValueError(f"{nf} fine steps do not refine {nc} coarse steps")
     factor = nf // nc
 
-    if factor == 1:
-        sat = ~(np.abs(coarse_values) <= SATURATION_LIMIT).all(axis=1)
-        return coarse_values.copy(), sat
-
     v_left = coarse_values[:, :-1]
     with np.errstate(all="ignore"):
         f_left, s_left = _frozen_coefficients(

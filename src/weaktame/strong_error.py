@@ -105,55 +105,44 @@ class StrongErrorResult:
 
 
 def _error_task(
-    spec: SchemeSpec,
-    levels: tuple[int, ...],
+    work: tuple[tuple[int, SchemeSpec], ...],
     ref_grid: TimeGrid,
     eta: float,
     alpha: float,
     u0: float,
     seed: int,
     units: tuple[tuple[int, int], ...],
-    with_reference_check: bool,
 ):
     """Error accumulation for contiguous merge units, streamed over time.
 
-    The task walks the reference grid in windows of whole coarsest cells
-    (about _CHUNK_NODES reference steps). Per window it draws the window's
-    increments, integrates the reference and every level on from the row
-    states the last window ended in, and folds each level's |interp - ref|
-    into running row maxima, per-unit node sums and saturation flags. So
-    nothing as wide as the reference grid is held but the node sums.
+    ``work`` lists (level, scheme) pairs coarsest first, none finer than the
+    reference. The task walks the reference grid in windows of whole coarsest
+    cells (about _CHUNK_NODES reference steps). Per window it draws the
+    window's increments, integrates the reference and every entry on from the
+    row states the last window ended in, and folds each entry's
+    |interp - ref| into running row maxima, per-unit node sums and saturation
+    flags. So nothing as wide as the reference grid is held but the node sums.
 
-    Returns, per unit and for each requested level plus (optionally) the
-    certification level, (sup_powers (count,), node_power_sums (Nref+1,),
-    blowups), bitwise the same as reducing the unit alone at full width: the
-    schemes, coarsening and interpolant act within a step or cell, max is
-    exact, and a unit's column sums add its rows in the same order in any
-    block at least two columns wide. A reference blow-up raises ValueError:
-    only inputs that overflow float64 cause one.
+    Returns (sup_powers (len(work), rows), node_power_sums (units, len(work),
+    Nref+1), blowups (units, len(work))), bitwise the same as reducing each
+    unit alone at full width: the schemes, coarsening and interpolant act
+    within a step or cell, max is exact, and a unit's column sums add its rows
+    in the same order in any block at least two columns wide. A reference
+    blow-up raises ValueError: only inputs that overflow float64 cause one.
     """
-    work: list[tuple[int, SchemeSpec]] = [(lvl, spec) for lvl in levels]
-    if with_reference_check:
-        work.append((ref_grid.level - 1, WEAK_TAMED_ENKF))
-    # Finest level first, each coarsened from the one just above it; the
-    # pairwise halving in coarsen_increments makes that bitwise the same as
-    # coarsening the reference increments directly.
-    order = sorted(range(len(work)), key=lambda i: -work[i][0])
-    factors = [1 << (ref_grid.level - level) for level, _ in work]
-
     first_row = units[0][0]
     n_rows = sum(count for _, count in units)
     bounds = [(start - first_row, start - first_row + count) for start, count in units]
     n_ref, h_ref = ref_grid.n_steps, ref_grid.h
-    coarsest = max(factors)
+    coarsest = 1 << (ref_grid.level - work[0][0])
     window = max(coarsest, (_CHUNK_NODES // coarsest) * coarsest)
 
     ref_state = np.full(n_rows, np.float64(u0))
-    states = [ref_state.copy() for _ in work]
-    dead = [np.zeros(n_rows, dtype=bool) for _ in work]
-    saturated = [np.zeros(n_rows, dtype=bool) for _ in work]
-    sup_err = [np.zeros(n_rows) for _ in work]
-    node_power_sums = [[np.empty(n_ref + 1) for _ in work] for _ in units]
+    states = np.full((len(work), n_rows), np.float64(u0))
+    dead = np.zeros((len(work), n_rows), dtype=bool)
+    saturated = np.zeros((len(work), n_rows), dtype=bool)
+    sup_err = np.zeros((len(work), n_rows))
+    node_power_sums = np.empty((len(units), len(work), n_ref + 1))
 
     for n0 in range(0, n_ref, window):
         n1 = min(n0 + window, n_ref)
@@ -173,13 +162,14 @@ def _error_task(
         ref_state = ref_values[:, -1]
         # The window's last node is the next window's first; keep it once.
         stop = n1 + 1 - n0 if n1 == n_ref else n1 - n0
-        coarse_inc, coarse_factor = fine, 1
-        for idx in order:
-            run_spec, factor = work[idx][1], factors[idx]
-            if factor != coarse_factor:
-                coarse_inc = coarsen_increments(coarse_inc, factor // coarse_factor)
-                coarse_factor = factor
-            h_coarse = h_ref * factor
+        # Finest entry first, each coarsened from the one just above it; the
+        # pairwise halving in coarsen_increments makes that bitwise the same
+        # as coarsening the reference increments directly.
+        coarse_inc, coarse_level = fine, ref_grid.level
+        for idx, (level, run_spec) in reversed(list(enumerate(work))):
+            coarse_inc = coarsen_increments(coarse_inc, 1 << (coarse_level - level))
+            coarse_level = level
+            h_coarse = h_ref * (1 << (ref_grid.level - level))
             coarse_values, coarse_blow = integrate_increments(
                 run_spec, h_coarse, coarse_inc, states[idx]
             )
@@ -200,18 +190,10 @@ def _error_task(
             if alpha != 1.0:
                 err **= alpha
             for sums, (r0, r1) in zip(node_power_sums, bounds):
-                sums[idx][n0 : n0 + stop] = err[r0:r1].sum(axis=0)
+                sums[idx, n0 : n0 + stop] = err[r0:r1].sum(axis=0)
 
-    out = []
-    for sums, (r0, r1) in zip(node_power_sums, bounds):
-        unit = []
-        for idx in range(len(work)):
-            sup = sup_err[idx][r0:r1]
-            sup_powers = np.sqrt(sup) if eta == 0.5 else sup**eta
-            blowups = int((dead[idx][r0:r1] | saturated[idx][r0:r1]).sum())
-            unit.append((sup_powers, sums[idx], blowups))
-        out.append(unit)
-    return out
+    blowups = np.array([(dead | saturated)[:, r0:r1].sum(axis=1) for r0, r1 in bounds])
+    return sup_err**eta, node_power_sums, blowups
 
 
 def _task_units(
@@ -248,16 +230,18 @@ def estimate_strong_error(
     u0: float = 1.0,
     horizon: float = 1.0,
     workers: int = 1,
-    reference_extra_levels: int = REFERENCE_EXTRA_LEVELS,
     check_reference: bool = True,
 ) -> StrongErrorResult:
     """Strong-error functionals of ``spec`` at each level against the shared
-    weak-tamed reference at max(levels) + reference_extra_levels.
+    weak-tamed reference at max(levels) + REFERENCE_EXTRA_LEVELS.
 
-    Samples are reduced in merge units of ERROR_BATCH_SIZE rows, and each
-    worker call takes a task of consecutive units (see _task_units). Results
-    are deterministic for fixed (seed, n_samples, levels) and independent of
-    the worker count, which sets only how units are grouped into tasks.
+    The work list is the sorted levels under ``spec``, then, with
+    ``check_reference``, the weak-tamed certification run one level below the
+    reference. Samples are reduced in merge units of ERROR_BATCH_SIZE rows,
+    and each worker call takes a task of consecutive units (see _task_units).
+    Results are deterministic for fixed (seed, n_samples, levels) and
+    independent of the worker count, which sets only how units are grouped
+    into tasks.
     """
     levels = tuple(int(lvl) for lvl in levels)
     if not levels:
@@ -272,79 +256,67 @@ def estimate_strong_error(
         raise ValueError(f"need 0 < alpha < 2, got {alpha}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if reference_extra_levels < 0:
-        raise ValueError("reference_extra_levels must be nonnegative")
 
-    ref_level = max(levels) + reference_extra_levels
+    ref_level = max(levels) + REFERENCE_EXTRA_LEVELS
     ref_grid = TimeGrid(horizon, ref_level)
-    with_check = bool(check_reference) and ref_level >= 1
-    sorted_levels = tuple(sorted(levels))
+    work = tuple((level, spec) for level in sorted(levels))
+    if check_reference:
+        work += ((ref_level - 1, WEAK_TAMED_ENKF),)
 
     tasks = _task_units(batch_ranges(n_samples, ERROR_BATCH_SIZE), workers)
     task_results = run_batches(
         _error_task,
-        [
-            (spec, sorted_levels, ref_grid, eta, alpha, u0, seed, units, with_check)
-            for units in tasks
-        ],
+        [(work, ref_grid, eta, alpha, u0, seed, units) for units in tasks],
         workers=workers,
     )
-    results = [unit for task in task_results for unit in task]
+    sup_powers = np.concatenate([task[0] for task in task_results], axis=1)
+    node_power_sums = np.concatenate([task[1] for task in task_results]).sum(axis=0)
+    blowups = np.concatenate([task[2] for task in task_results]).sum(axis=0)
+    eta_errors = [float(np.mean(row)) ** (1.0 / eta) for row in sup_powers]
+    alpha_errors = [
+        float(np.max(row) / n_samples) ** (1.0 / alpha) for row in node_power_sums
+    ]
 
-    n_work = len(sorted_levels) + (1 if with_check else 0)
-    stats: list[ErrorStats] = []
-    check_stats: tuple[float, float] | None = None
-    for idx in range(n_work):
-        sup_powers = np.concatenate([batch[idx][0] for batch in results])
-        node_power_sums = np.sum([batch[idx][1] for batch in results], axis=0)
-        blowups = sum(batch[idx][2] for batch in results)
-        eta_error = float(np.mean(sup_powers)) ** (1.0 / eta)
-        alpha_error = float(np.max(node_power_sums) / n_samples) ** (1.0 / alpha)
-        if idx < len(sorted_levels):
-            level = sorted_levels[idx]
-            ci = _bootstrap_ci_log2(sup_powers, eta, seed, _BOOTSTRAP_TAG + level)
-            stats.append(
-                ErrorStats(
-                    level=level,
-                    h=horizon / (1 << level),
-                    eta=eta,
-                    alpha=alpha,
-                    eta_error=eta_error,
-                    alpha_error=alpha_error,
-                    ci_halfwidth=ci,
-                    n_samples=n_samples,
-                    blowup_count=blowups,
-                )
-            )
-        else:
-            check_stats = (eta_error, alpha_error)
+    stats = tuple(
+        ErrorStats(
+            level=level,
+            h=horizon / (1 << level),
+            eta=eta,
+            alpha=alpha,
+            eta_error=eta_errors[idx],
+            alpha_error=alpha_errors[idx],
+            ci_halfwidth=_bootstrap_ci_log2(
+                sup_powers[idx], eta, seed, _BOOTSTRAP_TAG + level
+            ),
+            n_samples=n_samples,
+            blowup_count=int(blowups[idx]),
+        )
+        for idx, (level, _) in enumerate(work[: len(levels)])
+    )
+    if not check_reference:
+        return StrongErrorResult(stats, None)
 
-    reference_check = None
-    if check_stats is not None:
-        eta_floor = min(s.eta_error for s in stats)
-        alpha_floor = min(s.alpha_error for s in stats)
-        eta_threshold = eta_floor / 10.0
-        alpha_threshold = alpha_floor / 10.0
-        passed = (
-            check_stats[0] <= eta_threshold and check_stats[1] <= alpha_threshold
+    eta_floor = min(s.eta_error for s in stats)
+    alpha_floor = min(s.alpha_error for s in stats)
+    eta_threshold = eta_floor / 10.0
+    alpha_threshold = alpha_floor / 10.0
+    check = ReferenceCheck(
+        level=ref_level - 1,
+        eta_error=eta_errors[-1],
+        alpha_error=alpha_errors[-1],
+        eta_threshold=eta_threshold,
+        alpha_threshold=alpha_threshold,
+        passed=eta_errors[-1] <= eta_threshold and alpha_errors[-1] <= alpha_threshold,
+    )
+    if not check.passed:
+        warnings.warn(
+            "reference self-consistency check failed: one-level-coarser "
+            f"errors ({check.eta_error:.3e}, {check.alpha_error:.3e}) exceed a "
+            f"tenth of the smallest measured errors ({eta_floor:.3e}, "
+            f"{alpha_floor:.3e}); treat absolute error values with care",
+            stacklevel=2,
         )
-        reference_check = ReferenceCheck(
-            level=ref_level - 1,
-            eta_error=check_stats[0],
-            alpha_error=check_stats[1],
-            eta_threshold=eta_threshold,
-            alpha_threshold=alpha_threshold,
-            passed=passed,
-        )
-        if not passed:
-            warnings.warn(
-                "reference self-consistency check failed: one-level-coarser "
-                f"errors ({check_stats[0]:.3e}, {check_stats[1]:.3e}) exceed a "
-                f"tenth of the smallest measured errors ({eta_floor:.3e}, "
-                f"{alpha_floor:.3e}); treat absolute error values with care",
-                stacklevel=2,
-            )
-    return StrongErrorResult(tuple(stats), reference_check)
+    return StrongErrorResult(stats, check)
 
 
 def fit_rate(stats, which: str, theoretical: float) -> RateFit:

@@ -40,6 +40,9 @@ def test_grid_h_and_times():
         dict(horizon=np.inf),
         dict(level=-1),
         dict(base=0),
+        # no float64 array holds 2**60 + 1 nodes (numpy caps arrays at intp.max bytes)
+        dict(level=60),
+        dict(level=1, base=3 << 58),
     ],
 )
 def test_grid_rejects_bad_fields(kwargs):

@@ -155,6 +155,14 @@ def test_enkf_general_shape(capsys):
         # 80 PiB of increments, beyond the address space: numpy refuses at
         # once, and this used to end in a MemoryError traceback
         (["moments", "--levels", "50", "--M", "10", "--workers", "1"], "too large for memory"),
+        # grids no float64 array can hold fail before anything is allocated;
+        # these used to end in numpy's bare "Maximum allowed dimension exceeded"
+        (["moments", "--levels", "70", "--M", "10", "--workers", "1"], "2**70 steps"),
+        (["strong-error", "--levels", "60..63", "--M", "10", "--workers", "1"],
+         "2**67 steps"),
+        (["blowup", "--h", "1e-300", "--M", "10", "--workers", "1"], "too large for a float64"),
+        (["blowup", "--h", "0.1", "--T", "1e300", "--M", "10", "--workers", "1"],
+         "too large for a float64"),
     ],
 )
 # pytest captures warnings instead of printing them, so make them fail
@@ -186,6 +194,23 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["strong-error", "--M", "1e400"],
+        ["identity-check", "--samples", "1e400"],
+        ["rates", "--alpha-grid", "0:inf:1"],
+        ["rates", "--eta-grid", "0:1:1e-320"],
+    ],
+)
+def test_non_finite_counts_and_grid_bounds_exit_2(argv, capsys):
+    # int(round(inf)) used to end in an OverflowError traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert repr(argv[-1]) in capsys.readouterr().err
 
 
 def test_env_seed_precedence(monkeypatch, capsys):

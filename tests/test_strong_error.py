@@ -70,17 +70,12 @@ def test_reference_certification_warns_on_short_stack():
     assert check.eta_error > check.eta_threshold
 
 
-def reference_error_batch(
-    spec, levels, ref_grid, eta, alpha, u0, seed, start, count, with_reference_check
-):
+def reference_error_batch(work, ref_grid, eta, alpha, u0, seed, start, count):
     # The full-width engine: every level coarsened from the reference
     # increments, the interpolant and |error| built at full width.
     fine_increments = increment_block(seed, start, count, ref_grid)
     h_ref = ref_grid.h
     ref_values, _ = integrate_increments(WEAK_TAMED_ENKF, h_ref, fine_increments, u0)
-    work = [(lvl, spec) for lvl in levels]
-    if with_reference_check:
-        work.append((ref_grid.level - 1, WEAK_TAMED_ENKF))
     out = []
     for level, run_spec in work:
         factor = 1 << (ref_grid.level - level)
@@ -110,39 +105,57 @@ def reference_error_batch(
     return out
 
 
+def certified_work(spec, levels, ref_grid):
+    # the work list estimate_strong_error builds with check_reference
+    return tuple((level, spec) for level in levels) + (
+        (ref_grid.level - 1, WEAK_TAMED_ENKF),
+    )
+
+
+def assert_task_matches_reference(got, work, grid, eta, alpha, u0, units):
+    # each unit's rows of the sup powers, its node sums and its blow-up
+    # counts against that unit reduced alone at full width
+    sup, sums, blowups = got
+    assert sup.shape == (len(work), sum(count for _, count in units))
+    assert sums.shape == (len(units), len(work), grid.n_steps + 1)
+    assert blowups.shape == (len(units), len(work))
+    r0 = 0
+    for u, (start, count) in enumerate(units):
+        want = reference_error_batch(work, grid, eta, alpha, u0, 1, start, count)
+        for idx, (sup_ref, sums_ref, blow_ref) in enumerate(want):
+            assert np.array_equal(sup[idx, r0 : r0 + count], sup_ref)
+            assert np.array_equal(sums[u, idx], sums_ref)
+            assert blowups[u, idx] == blow_ref
+        r0 += count
+
+
 @pytest.mark.parametrize("chunk_nodes", [2048, 96])
 @pytest.mark.parametrize(
-    "spec, levels, ref_level, eta, alpha, u0, start, count",
+    "work, ref_level, eta, alpha, u0, start, count",
     [
-        (WEAK_TAMED_ENKF, (4, 5, 6, 7, 8), 12, 0.5, 1.0, 1.0, 0, 256),
+        (certified_work(WEAK_TAMED_ENKF, (4, 5, 6, 7, 8), TimeGrid(1.0, 12)),
+         12, 0.5, 1.0, 1.0, 0, 256),
         # blow-ups at levels 4..7, so saturated rows cross chunk boundaries
-        (NAIVE_EM, (4, 5, 6, 7, 8), 12, 0.5, 1.0, 3.0, 0, 256),
-        (WEAK_TAMED_ENKF, (4, 5, 6, 7, 8), 12, 0.25, 1.5, 1.0, 256, 100),
+        (certified_work(NAIVE_EM, (4, 5, 6, 7, 8), TimeGrid(1.0, 12)),
+         12, 0.5, 1.0, 3.0, 0, 256),
+        (certified_work(WEAK_TAMED_ENKF, (4, 5, 6, 7, 8), TimeGrid(1.0, 12)),
+         12, 0.25, 1.5, 1.0, 256, 100),
         # factor 1, and a check level that is also a requested level
-        (WEAK_TAMED_ENKF, (5, 6, 7, 8), 8, 0.5, 1.0, 1.0, 0, 64),
+        (tuple((level, WEAK_TAMED_ENKF) for level in (5, 6, 7, 7, 8)),
+         8, 0.5, 1.0, 1.0, 0, 64),
     ],
     ids=["weak-tamed", "naive-em-blowups", "eta-alpha", "factor-one"],
 )
 def test_error_batch_matches_full_width_reference(
-    monkeypatch, chunk_nodes, spec, levels, ref_level, eta, alpha, u0, start, count
+    monkeypatch, chunk_nodes, work, ref_level, eta, alpha, u0, start, count
 ):
     monkeypatch.setattr(strong_error, "_CHUNK_NODES", chunk_nodes)
     grid = TimeGrid(1.0, ref_level)
-    (got,) = strong_error._error_task(
-        spec, levels, grid, eta, alpha, u0, 1, ((start, count),), True
-    )
-    want = reference_error_batch(spec, levels, grid, eta, alpha, u0, 1, start, count, True)
-    assert_unit_equal(got, want, len(levels) + 1)
-    if spec is NAIVE_EM:
-        assert all(entry[2] > 0 for entry in want[:4])
-
-
-def assert_unit_equal(got, want, n_work):
-    assert len(got) == len(want) == n_work
-    for (sup, sums, blow), (sup_ref, sums_ref, blow_ref) in zip(got, want):
-        assert np.array_equal(sup, sup_ref)
-        assert np.array_equal(sums, sums_ref)
-        assert blow == blow_ref
+    units = ((start, count),)
+    got = strong_error._error_task(work, grid, eta, alpha, u0, 1, units)
+    assert_task_matches_reference(got, work, grid, eta, alpha, u0, units)
+    if work[0][1] is NAIVE_EM:
+        assert (got[2][0, :4] > 0).all()
 
 
 @pytest.mark.parametrize(
@@ -163,12 +176,10 @@ def test_streamed_task_matches_full_width_reference_per_unit(
     monkeypatch, chunk_nodes, window, spec, u0, units
 ):
     monkeypatch.setattr(strong_error, "_CHUNK_NODES", chunk_nodes)
-    levels, grid = (4, 5, 6, 7, 8), TimeGrid(1.0, 12)
-    got = strong_error._error_task(spec, levels, grid, 0.5, 1.0, u0, 1, units, True)
-    assert len(got) == len(units)
-    for unit, (start, count) in zip(got, units):
-        want = reference_error_batch(spec, levels, grid, 0.5, 1.0, u0, 1, start, count, True)
-        assert_unit_equal(unit, want, len(levels) + 1)
+    grid = TimeGrid(1.0, 12)
+    work = certified_work(spec, (4, 5, 6, 7, 8), grid)
+    got = strong_error._error_task(work, grid, 0.5, 1.0, u0, 1, units)
+    assert_task_matches_reference(got, work, grid, 0.5, 1.0, u0, units)
     if spec is NAIVE_EM:
         # level-4 rows blow up before the last window and must stay frozen,
         # at both signs of the sentinel, through the windows after it
@@ -191,10 +202,11 @@ def test_streamed_levels_continue_the_full_width_trajectories(monkeypatch):
         return values, blow
 
     monkeypatch.setattr(strong_error, "integrate_increments", recording)
-    levels, grid = (4, 6, 8), TimeGrid(1.0, 12)
-    strong_error._error_task(NAIVE_EM, levels, grid, 0.5, 1.0, 3.0, 1, ((0, 64),), True)
+    grid = TimeGrid(1.0, 12)
+    work = certified_work(NAIVE_EM, (4, 6, 8), grid)
+    strong_error._error_task(work, grid, 0.5, 1.0, 3.0, 1, ((0, 64),))
     fine = increment_block(1, 0, 64, grid)
-    for level, spec in [(4, NAIVE_EM), (6, NAIVE_EM), (8, NAIVE_EM), (11, WEAK_TAMED_ENKF)]:
+    for level, spec in work:
         h = 2.0**-level
         parts = windows[(spec.variant, h)]
         assert len(parts) == grid.n_steps // 256
@@ -221,9 +233,10 @@ def test_task_memory_does_not_grow_with_the_reference_grid():
         levels = tuple(range(ref_level - 6, ref_level - 3))
         tracemalloc.start()
         try:
+            grid = TimeGrid(1.0, ref_level)
             strong_error._error_task(
-                WEAK_TAMED_ENKF, levels, TimeGrid(1.0, ref_level), 0.5, 1.0, 1.0, 0,
-                ((0, 256), (256, 256)), True,
+                certified_work(WEAK_TAMED_ENKF, levels, grid), grid, 0.5, 1.0, 1.0, 0,
+                ((0, 256), (256, 256)),
             )
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -299,7 +312,6 @@ def test_fit_rate_validation():
         dict(alpha=0.0),
         dict(alpha=2.0),
         dict(n_samples=0),
-        dict(reference_extra_levels=-1),
     ],
 )
 def test_estimate_validation(kw):
