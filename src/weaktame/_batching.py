@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .brownian import _stream_key
+
 __all__ = ["batch_ranges", "bootstrap_rng", "run_batches"]
 
 
@@ -31,8 +33,7 @@ def batch_ranges(n_samples: int, batch_size: int) -> list[tuple[int, int]]:
 
 def bootstrap_rng(seed: int, tag: int) -> np.random.Generator:
     """Generator for bootstrap draws in the parent, keyed by (seed, tag)."""
-    key = np.array([int(seed) & (2**64 - 1), tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag)))
 
 
 def run_batches(

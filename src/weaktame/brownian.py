@@ -68,25 +68,26 @@ class TimeGrid:
 
 
 def _stream_key(seed: int, stream: int) -> np.ndarray:
+    """Philox key of the stream (seed, stream); every generator is keyed here."""
     return np.array(
         [int(seed) & _U64_MASK, int(stream) & _U64_MASK], dtype=np.uint64
     )
 
 
-def standard_normals(seed: int, stream: int, count: int) -> np.ndarray:
-    """N(0,1) draws from the counter-based stream keyed by (seed, stream).
+def _normals_from_words(raw: np.ndarray) -> np.ndarray:
+    """N(0,1) values of 64-bit words: the top 53 bits, offset by half an ulp
+    so the uniforms lie strictly inside (0,1), through the inverse normal CDF,
+    which keeps the map monotone and reproducible across platforms."""
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
 
-    Uniforms come from the top 53 bits of each 64-bit word, offset by half an
-    ulp so they lie strictly inside (0,1); the inverse normal CDF keeps the
-    map monotone and reproducible across platforms.
-    """
+
+def standard_normals(seed: int, stream: int, count: int) -> np.ndarray:
+    """N(0,1) draws from the counter-based stream keyed by (seed, stream)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return np.empty(0, dtype=np.float64)
-    raw = Philox(key=_stream_key(seed, stream)).random_raw(count)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return _normals_from_words(Philox(key=_stream_key(seed, stream)).random_raw(count))
 
 
 def increment_block(
@@ -128,8 +129,9 @@ def increment_block(
         inner["key"] = _stream_key(seed, first_index + i)
         bitgen.state = state
         raw[i] = bitgen.random_raw(steps)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return np.sqrt(grid.h) * ndtri(u)
+    out = _normals_from_words(raw)
+    out *= np.sqrt(grid.h)  # in place: one (count, steps) array fewer at peak
+    return out
 
 
 def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:

@@ -197,10 +197,18 @@ def _run_strong_error(config: ExperimentConfig) -> int:
         "pointwise": strong_error.fit_rate(result, "pointwise", theo_pointwise),
     }
     sys.stdout.write(reports.rate_fits_json(fits))
-    ok = all(
-        f.slope >= max(f.theoretical_exponent - 0.05, 0.40) for f in fits.values()
-    )
-    return 0 if ok else 1
+    code = 0
+    for name, fit in fits.items():
+        floor = max(fit.theoretical_exponent - 0.05, 0.40)
+        if not fit.slope >= floor:
+            print(
+                f"gate failed: {name} fit slope = {fit.slope:.6g}, "
+                f"floor max(theoretical - 0.05, 0.40) = {floor:.6g}, "
+                f"margin {fit.slope - floor:+.6g}",
+                file=sys.stderr,
+            )
+            code = 1
+    return code
 
 
 def _run_moments(config: ExperimentConfig) -> int:
@@ -234,13 +242,21 @@ def _run_moments(config: ExperimentConfig) -> int:
 
     # Uniformity-in-h gate, only meaningful for the weak-tamed scheme and
     # more than one step size; other schemes are documentation runs.
+    code = 0
     if spec.variant == "weak_tamed_enkf" and len(config.levels) >= 2:
-        for entries in by_p.values():
+        for p, entries in by_p.items():
             sups = [s for s, _ in entries]
             allowance = 3.0 * max(ci for _, ci in entries) + 0.05
             if max(sups) > min(sups) + allowance:
-                return 1
-    return 0
+                spread = max(sups) - min(sups)
+                print(
+                    f"gate failed: moments p = {p:g}: max - min of sup_of_mean = "
+                    f"{spread:.6g}, allowance 3 * max ci + 0.05 = {allowance:.6g}, "
+                    f"margin {allowance - spread:+.6g}",
+                    file=sys.stderr,
+                )
+                code = 1
+    return code
 
 
 def _run_blowup(config: ExperimentConfig) -> int:

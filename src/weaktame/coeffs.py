@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .brownian import _stream_key
+
 __all__ = [
     "drift",
     "diffusion",
@@ -141,7 +143,7 @@ def identity_sweep(n_samples: int, seed: int) -> tuple[float, float]:
     n_samples = int(n_samples)
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x51D3]))
+    rng = np.random.Generator(np.random.Philox(key=_stream_key(seed, 0x51D3)))
     worst = 0.0
     total = 0.0
     done = 0

@@ -4,14 +4,14 @@ One discrete update per particle:
 
     u+ = u + h*Cup*(h*Cpp+Gamma)^-1 (y - G u) + sqrt(h)*Cup*(h*Cpp+Gamma)^-1 Gamma^(1/2) zeta
 
-The state carries (mean, anomalies) rather than raw particles: the
-two-particle reduction to the scalar weak-tamed scheme is a statement about
-deviations from the mean, and carrying deviations makes their antisymmetry an
-exact fixed point of the floating-point iteration. Noise enters the anomaly
-update through pairwise centering, which is bitwise antisymmetric for J=2;
-together with a scalar-division fast path for 1x1 solves, the reduced
-q-sequence reproduces schemes.integrate_increments(WEAK_TAMED_ENKF, ...) bit
-for bit.
+An EnsembleState carries (mean, anomalies) rather than raw particles, and
+the inverse problem (G, y, Gamma, h) the update reads. The two-particle
+reduction to the scalar weak-tamed scheme is a statement about deviations
+from the mean, and carrying deviations makes their antisymmetry an exact
+fixed point of the floating-point iteration. Noise enters the anomaly update
+through pairwise centering, which is bitwise antisymmetric for J=2; together
+with a scalar-division fast path for 1x1 solves, the reduced q-sequence
+reproduces schemes.integrate_increments(WEAK_TAMED_ENKF, ...) bit for bit.
 
 States built with from_particles center at the rounded particle mean and are
 not guaranteed to keep exact antisymmetry; the reduction identity is exact
@@ -21,7 +21,6 @@ for states whose anomalies are supplied directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .brownian import standard_normals
 __all__ = [
     "EnsembleState",
     "sym_sqrt",
-    "cov_operators",
     "enkf_step",
     "run_chain",
     "reduce_to_q",
@@ -52,12 +50,13 @@ def _as_matrix(name: str, x, rows: int | None = None, cols: int | None = None) -
 
 @dataclass(frozen=True, eq=False)
 class EnsembleState:
-    """Ensemble (mean, anomalies) plus the inverse-problem data it evolves under.
+    """Ensemble (mean, anomalies) plus the inverse problem it evolves under.
 
-    particles = mean + anomalies row-wise. forward_map has shape (K, d) and
-    acts as u -> forward_map @ u; observation lives in R^K; noise_cov is a
-    symmetric positive-definite K x K matrix; h >= 0 (h = 0 is the documented
-    no-op step).
+    The particles are the rows of mean + anomalies. forward_map has shape
+    (K, d) and acts as u -> forward_map @ u; observation lives in R^K;
+    noise_cov is a symmetric positive-definite K x K matrix; h >= 0 (h = 0 is
+    the documented no-op step). The update reads the problem from here, so
+    it is validated once, when the state is built.
     """
 
     mean: np.ndarray
@@ -105,10 +104,6 @@ class EnsembleState:
     def obs_dim(self) -> int:
         return self.forward_map.shape[0]
 
-    @property
-    def particles(self) -> np.ndarray:
-        return self.mean + self.anomalies
-
     @classmethod
     def from_particles(
         cls, particles, forward_map, observation, noise_cov, h: float
@@ -124,10 +119,6 @@ class EnsembleState:
             h=h,
         )
 
-    def spread(self) -> float:
-        """Root mean squared anomaly norm."""
-        return float(np.sqrt(np.mean(np.sum(self.anomalies**2, axis=1))))
-
 
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD matrix via eigendecomposition."""
@@ -142,20 +133,6 @@ def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
 
 
-def _covariances(anomalies: np.ndarray, mapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    j = anomalies.shape[0]
-    return (mapped.T @ mapped) / j, (anomalies.T @ mapped) / j
-
-
-def cov_operators(state: EnsembleState) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical covariances (Cpp: K x K, Cup: d x K) with 1/J normalization.
-
-    Built from the carried anomalies; for states constructed from particles
-    this equals the about-the-mean formula up to one rounding of the mean.
-    """
-    return _covariances(state.anomalies, state.anomalies @ state.forward_map.T)
-
-
 def _gain(cpp: np.ndarray, cup: np.ndarray, noise_cov: np.ndarray, h: float) -> np.ndarray:
     """Kalman-style gain Cup (h Cpp + Gamma)^-1 via linear solve, no inversion."""
     system = h * cpp + noise_cov
@@ -167,48 +144,27 @@ def _gain(cpp: np.ndarray, cup: np.ndarray, noise_cov: np.ndarray, h: float) -> 
         raise ValueError(f"singular innovation system: {exc}") from exc
 
 
-class _Problem(NamedTuple):
-    """What one update needs besides (mean, anomalies), fixed along a chain."""
-
-    forward_map: np.ndarray
-    forward_map_t: np.ndarray
-    observation: np.ndarray
-    noise_cov: np.ndarray
-    sqrt_noise: np.ndarray
-    sqrt_noise_t: np.ndarray
-    h: float
-    sqrt_h: float
-
-
-def _problem(state: EnsembleState) -> _Problem:
-    sqrt_noise = sym_sqrt(state.noise_cov)
-    return _Problem(
-        state.forward_map,
-        state.forward_map.T,
-        state.observation,
-        state.noise_cov,
-        sqrt_noise,
-        sqrt_noise.T,
-        state.h,
-        np.sqrt(state.h),
-    )
-
-
 def _advance(
-    mean: np.ndarray, anomalies: np.ndarray, perturbations: np.ndarray, problem: _Problem
+    mean: np.ndarray, anomalies: np.ndarray, perturbations: np.ndarray,
+    state: EnsembleState, sqrt_noise: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One perturbed-observations update of raw (mean, anomalies) arrays.
+    """One perturbed-observations update of raw (mean, anomalies) arrays under
+    the inverse problem of ``state``; sqrt_noise is sym_sqrt(state.noise_cov).
 
-    The one copy of the step arithmetic. Its operation order is what makes the
-    J = 2 reduction bit-exact, so keep it as written. Raises the ValueError
-    that EnsembleState validation would if the new arrays are not finite.
+    The one copy of the step arithmetic: its operation order makes the J = 2
+    reduction bit-exact, so keep it as written. Raises the ValueError that
+    EnsembleState validation would if the new arrays are not finite.
     """
-    forward_map, forward_map_t, observation, noise_cov, sqrt_noise, sqrt_noise_t, h, sqrt_h = problem
+    forward_map, h = state.forward_map, state.h
+    sqrt_h = np.sqrt(h)
     j = anomalies.shape[0]
-    mapped = anomalies @ forward_map_t
-    gain = _gain(*_covariances(anomalies, mapped), noise_cov, h)
+    mapped = anomalies @ forward_map.T
+    # Empirical covariances Cpp (K x K) and Cup (d x K), 1/J normalization.
+    cpp = (mapped.T @ mapped) / j
+    cup = (anomalies.T @ mapped) / j
+    gain = _gain(cpp, cup, state.noise_cov, h)
 
-    innovation = observation - forward_map @ mean
+    innovation = state.observation - forward_map @ mean
     zeta_bar = perturbations.sum(axis=0) / j
     new_mean = (mean + gain @ (h * innovation)) + gain @ (sqrt_h * (sqrt_noise @ zeta_bar))
 
@@ -217,7 +173,7 @@ def _advance(
     # J = 2, which the reduction identity needs.
     delta = (perturbations[:, None, :] - perturbations[None, :, :]).sum(axis=1) / j
     drift_term = (-(h * mapped)) @ gain.T
-    noise_term = (sqrt_h * (delta @ sqrt_noise_t)) @ gain.T
+    noise_term = (sqrt_h * (delta @ sqrt_noise.T)) @ gain.T
     new_anomalies = (anomalies + drift_term) + noise_term
     if not np.isfinite(new_anomalies).all():
         raise ValueError("anomalies must be finite")
@@ -239,7 +195,9 @@ def enkf_step(state: EnsembleState, perturbations: np.ndarray) -> EnsembleState:
     perturbations = _as_matrix(
         "perturbations", perturbations, rows=state.n_members, cols=state.obs_dim
     )
-    mean, anomalies = _advance(state.mean, state.anomalies, perturbations, _problem(state))
+    mean, anomalies = _advance(
+        state.mean, state.anomalies, perturbations, state, sym_sqrt(state.noise_cov)
+    )
     return _evolved(state, mean, anomalies)
 
 
@@ -254,16 +212,15 @@ def run_chain(
 
     ``initial`` is validated once, when it is constructed; each later state
     is only checked finite, and the first that is not raises ValueError,
-    without numpy floating-point warnings before it. The
-    returned states are views into one (n_steps+1, d) mean buffer and one
-    (n_steps+1, J, d) anomaly buffer, and share the problem data of
-    ``initial``.
+    without numpy floating-point warnings before it. The returned states are
+    views into one (n_steps+1, d) mean buffer and one (n_steps+1, J, d)
+    anomaly buffer, and share the inverse problem of ``initial``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     j, d, k = initial.n_members, initial.dim, initial.obs_dim
     draws = standard_normals(seed, chain_index, n_steps * j * k).reshape(n_steps, j, k)
-    problem = _problem(initial)
+    sqrt_noise = sym_sqrt(initial.noise_cov)
     means = np.empty((n_steps + 1, d))
     anomalies = np.empty((n_steps + 1, j, d))
     means[0], anomalies[0] = initial.mean, initial.anomalies
@@ -271,7 +228,9 @@ def run_chain(
     # on the way there would only repeat it.
     with np.errstate(all="ignore"):
         for n in range(n_steps):
-            means[n + 1], anomalies[n + 1] = _advance(means[n], anomalies[n], draws[n], problem)
+            means[n + 1], anomalies[n + 1] = _advance(
+                means[n], anomalies[n], draws[n], initial, sqrt_noise
+            )
     return [_evolved(initial, m, a) for m, a in zip(means, anomalies)]
 
 

@@ -301,7 +301,10 @@ def em_blowup_profile(
         h_req = float(h_req)
         if not np.isfinite(h_req) or h_req <= 0.0:
             raise ValueError(f"step sizes must be finite and positive, got {h_req!r}")
-        grids.append(TimeGrid(horizon, 0, max(1, round(horizon / h_req))))
+        steps = horizon / h_req
+        if not np.isfinite(steps):
+            raise ValueError(f"horizon / h is not finite for T = {horizon!r}, h = {h_req!r}")
+        grids.append(TimeGrid(horizon, 0, max(1, round(steps))))
     per_grid = _grid_batches(_endpoint_batch, NAIVE_EM, grids, n_samples, seed, u0, workers)
     rows = []
     for grid, results in zip(grids, per_grid):

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .enkf import EnsembleState, sym_sqrt
+from .enkf import EnsembleState, reduce_to_q, sym_sqrt
 from .strong_error import RateFit
 
 __all__ = [
@@ -120,9 +120,10 @@ def enkf_csv(states: Sequence[EnsembleState]) -> str:
     header.append("misfit")
 
     root = sym_sqrt(first.noise_cov)
-    # EnsembleState.spread for every state at once, bitwise the same
+    # Root mean squared anomaly norm of every state at once.
     anomalies = np.stack([state.anomalies for state in states])
     spreads = np.sqrt(np.mean(np.sum(anomalies**2, axis=2), axis=1))
+    q = reduce_to_q(states) if scalar_pair else None
     body = []
     for n, (state, spread) in enumerate(zip(states, spreads)):
         residual = state.observation - state.forward_map @ state.mean
@@ -131,7 +132,7 @@ def enkf_csv(states: Sequence[EnsembleState]) -> str:
         row.extend(format_float(m) for m in state.mean)
         row.append(format_float(spread))
         if scalar_pair:
-            row.append(format_float(state.anomalies[0, 0]))
+            row.append(format_float(q[n]))
         row.append(format_float(misfit))
         body.append(row)
     return _table(header, body)

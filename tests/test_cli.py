@@ -47,13 +47,24 @@ def test_identity_check_json(capsys):
 
 
 def test_strong_error_small_run_fails_gate(capsys):
-    # coarse levels with few samples land below the 0.40 slope floor
+    # coarse levels with few samples land below the 0.40 slope floor, and
+    # stderr names each failing fit
     with pytest.warns(UserWarning, match="reference self-consistency"):
         code = cli.main(["strong-error", "--levels", "2..5", "--M", "200", "--seed", "4"])
     assert code == 1
-    out = capsys.readouterr().out
-    fits = json.loads(out[out.index("{") :])
+    captured = capsys.readouterr()
+    fits = json.loads(captured.out[captured.out.index("{") :])
     assert fits["uniform"]["slope"] < 0.40
+    floors = {name: max(f["theoretical"] - 0.05, 0.40) for name, f in fits.items()}
+    failing = [name for name, f in fits.items() if f["slope"] < floors[name]]
+    lines = captured.err.splitlines()
+    assert len(lines) == len(failing)
+    for name, line in zip(failing, lines):
+        slope = fits[name]["slope"]
+        assert line == (
+            f"gate failed: {name} fit slope = {slope:.6g}, floor max(theoretical - 0.05, "
+            f"0.40) = {floors[name]:.6g}, margin {slope - floors[name]:+.6g}"
+        )
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -85,6 +96,24 @@ def test_moments_csv_and_gate(capsys):
         assert fields[3] == "1"
         assert fields[6] == "0"
         assert fields[7] == "1500"
+
+
+def test_moments_gate_failure_names_the_order(capsys):
+    # E|u|^4 grows in time on the h = 2^-6 grid but not at h = 1, and E|u|
+    # does not, so only p = 4 fails; M = 500 is one bootstrap batch, so the
+    # half-widths are 0 and the allowance is 0.05
+    argv = ["moments", "--levels", "0,6", "--M", "500", "--u0", "0.5", "--p", "1,4",
+            "--workers", "1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    sups = [float(row.split(",")[3]) for row in captured.out.splitlines()[1:]
+            if row.split(",")[2] == "4"]
+    spread = max(sups) - min(sups)
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"gate failed: moments p = 4: max - min of sup_of_mean = {spread:.6g}, ")
+    allowance = float(line.split("0.05 = ")[1].split(",")[0])
+    assert allowance < spread
+    assert line.endswith(f", margin {allowance - spread:+.6g}")
 
 
 def test_moments_regularized_scheme(capsys):
@@ -163,6 +192,11 @@ def test_enkf_general_shape(capsys):
         (["blowup", "--h", "1e-300", "--M", "10", "--workers", "1"], "too large for a float64"),
         (["blowup", "--h", "0.1", "--T", "1e300", "--M", "10", "--workers", "1"],
          "too large for a float64"),
+        # horizon / h overflows to inf; round(inf) used to end in an
+        # OverflowError traceback
+        (["blowup", "--h", "1e-320", "--M", "10", "--workers", "1"], "h = 1e-320"),
+        (["blowup", "--T", "1e300", "--h", "1e-300", "--M", "10", "--workers", "1"],
+         "h = 1e-300"),
     ],
 )
 # pytest captures warnings instead of printing them, so make them fail

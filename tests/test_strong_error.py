@@ -217,6 +217,31 @@ def test_streamed_levels_continue_the_full_width_trajectories(monkeypatch):
             assert (blow >= 0).any()
 
 
+def test_interpolant_saturation_counts_as_a_blowup(monkeypatch):
+    # The weak-tamed rows never blow up in the scheme, so a row the
+    # interpolant alone flags as saturated must still be counted, once.
+    grid = TimeGrid(1.0, 9)
+    work = certified_work(WEAK_TAMED_ENKF, (4, 5, 6), grid)
+    units = ((0, 64), (64, 64))
+    args = (work, grid, 0.5, 1.0, 1.0, 1, units)
+    base = strong_error._error_task(*args)
+    assert not base[2].any()
+
+    def one_row_saturated(spec, values, h, fine, h_fine):
+        interp, sat = interpolant_increments(spec, values, h, fine, h_fine)
+        if h == 2.0**-5:
+            sat = sat.copy()
+            sat[70] = True  # row 6 of the second unit, values unchanged
+        return interp, sat
+
+    monkeypatch.setattr(strong_error, "interpolant_increments", one_row_saturated)
+    got = strong_error._error_task(*args)
+    assert np.array_equal(got[0], base[0]) and np.array_equal(got[1], base[1])
+    expected = base[2].copy()
+    expected[1, 1] += 1  # unit 1, work entry 1 (level 5)
+    assert np.array_equal(got[2], expected)
+
+
 def test_tasks_group_consecutive_units():
     units = strong_error.batch_ranges(1280, 256)
     assert strong_error._task_units(units, 1) == [tuple(units[:4]), tuple(units[4:])]
