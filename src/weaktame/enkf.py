@@ -16,6 +16,12 @@ reproduces schemes.integrate_increments(WEAK_TAMED_ENKF, ...) bit for bit.
 States built with from_particles center at the rounded particle mean and are
 not guaranteed to keep exact antisymmetry; the reduction identity is exact
 for states whose anomalies are supplied directly.
+
+The noise terms depend on the perturbations alone. _noise_terms forms them
+for a stack of steps (one stack per call to enkf_step, blocks of steps in
+run_chain, each holding at most 512 KiB of pairwise differences or one
+step's, if that is more), and _update, the per-step arithmetic, forms only
+the gain and the two updates.
 """
 
 from __future__ import annotations
@@ -144,47 +150,67 @@ def _gain(cpp: np.ndarray, cup: np.ndarray, noise_cov: np.ndarray, h: float) -> 
         raise ValueError(f"singular innovation system: {exc}") from exc
 
 
-def _advance(
-    mean: np.ndarray, anomalies: np.ndarray, perturbations: np.ndarray,
-    state: EnsembleState, sqrt_noise: np.ndarray,
+# Floats of the (steps, J, J, K) pairwise intermediate that one stacked
+# noise pass may hold (512 KiB): run_chain forms the noise terms of
+# max(1, _NOISE_BLOCK_FLOATS // (J * J * K)) steps at a time.
+_NOISE_BLOCK_FLOATS = 1 << 16
+
+
+def _noise_terms(
+    draws: np.ndarray, sqrt_noise: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One perturbed-observations update of raw (mean, anomalies) arrays under
-    the inverse problem of ``state``; sqrt_noise is sym_sqrt(state.noise_cov).
+    """Perturbation terms of a (steps, J, K) block of N(0,1) draws.
+
+    Returns the mean-noise term sqrt(h) Gamma^(1/2) zeta_bar as (steps, K) and
+    the anomaly-noise term sqrt(h) delta Gamma^(1/2) as (steps, J, K), where
+    sqrt_noise = sym_sqrt(Gamma), zeta_bar is each step's member mean and
+    delta_j = (1/J) sum_k (zeta_j - zeta_k) its pairwise centering. Each row
+    is bitwise the product a single step forms on its own (J, K) draws.
+    """
+    sqrt_h = np.sqrt(h)
+    j = draws.shape[1]
+    zeta_bar = draws.sum(axis=1) / j
+    # sqrt_noise @ zeta_bar row by row; the zeta_bar @ sqrt_noise.T form
+    # sums in another order for K >= 2.
+    noise_mean = sqrt_h * (sqrt_noise @ zeta_bar[..., None])[..., 0]
+    # Pairwise centering: equal to zeta_j - zeta_bar in exact arithmetic,
+    # but bitwise antisymmetric for J = 2, which the reduction identity needs.
+    delta = (draws[:, :, None, :] - draws[:, None, :, :]).sum(axis=2) / j
+    return noise_mean, sqrt_h * (delta @ sqrt_noise.T)
+
+
+def _update(
+    mean: np.ndarray, anomalies: np.ndarray, noise_mean: np.ndarray, noise_pre: np.ndarray,
+    forward_map: np.ndarray, forward_map_t: np.ndarray, observation: np.ndarray,
+    noise_cov: np.ndarray, h: float, mean_out: np.ndarray, anomalies_out: np.ndarray,
+) -> None:
+    """One perturbed-observations update of raw (mean, anomalies) arrays,
+    written into (mean_out, anomalies_out); noise_mean and noise_pre are one
+    step's rows of _noise_terms.
 
     The one copy of the step arithmetic: its operation order makes the J = 2
     reduction bit-exact, so keep it as written. Raises the ValueError that
     EnsembleState validation would if the new arrays are not finite.
     """
-    forward_map, h = state.forward_map, state.h
-    sqrt_h = np.sqrt(h)
     j = anomalies.shape[0]
-    mapped = anomalies @ forward_map.T
+    mapped = anomalies @ forward_map_t
     # Empirical covariances Cpp (K x K) and Cup (d x K), 1/J normalization.
     cpp = (mapped.T @ mapped) / j
     cup = (anomalies.T @ mapped) / j
-    gain = _gain(cpp, cup, state.noise_cov, h)
+    gain = _gain(cpp, cup, noise_cov, h)
 
-    innovation = state.observation - forward_map @ mean
-    zeta_bar = perturbations.sum(axis=0) / j
-    new_mean = (mean + gain @ (h * innovation)) + gain @ (sqrt_h * (sqrt_noise @ zeta_bar))
-
-    # Pairwise centering: delta_j = (1/J) sum_k (zeta_j - zeta_k). Equal to
-    # zeta_j - zeta_bar in exact arithmetic, but bitwise antisymmetric for
-    # J = 2, which the reduction identity needs.
-    delta = (perturbations[:, None, :] - perturbations[None, :, :]).sum(axis=1) / j
-    drift_term = (-(h * mapped)) @ gain.T
-    noise_term = (sqrt_h * (delta @ sqrt_noise.T)) @ gain.T
-    new_anomalies = (anomalies + drift_term) + noise_term
-    if not np.isfinite(new_anomalies).all():
+    innovation = observation - forward_map @ mean
+    np.add(mean + gain @ (h * innovation), gain @ noise_mean, out=mean_out)
+    np.add(anomalies + (-(h * mapped)) @ gain.T, noise_pre @ gain.T, out=anomalies_out)
+    if not np.isfinite(anomalies_out).all():
         raise ValueError("anomalies must be finite")
-    if not np.isfinite(new_mean).all():
+    if not np.isfinite(mean_out).all():
         raise ValueError("mean must be finite")
-    return new_mean, new_anomalies
 
 
 def _evolved(template: EnsembleState, mean: np.ndarray, anomalies: np.ndarray) -> EnsembleState:
-    """``template`` with new (mean, anomalies) from _advance, built without
-    re-running __post_init__: _advance has checked the only fields that changed."""
+    """``template`` with new (mean, anomalies) from _update, built without
+    re-running __post_init__: _update has checked the only fields that changed."""
     state = object.__new__(EnsembleState)
     vars(state).update(vars(template), mean=mean, anomalies=anomalies)
     return state
@@ -195,8 +221,12 @@ def enkf_step(state: EnsembleState, perturbations: np.ndarray) -> EnsembleState:
     perturbations = _as_matrix(
         "perturbations", perturbations, rows=state.n_members, cols=state.obs_dim
     )
-    mean, anomalies = _advance(
-        state.mean, state.anomalies, perturbations, state, sym_sqrt(state.noise_cov)
+    noise_mean, noise_pre = _noise_terms(perturbations[None], sym_sqrt(state.noise_cov), state.h)
+    mean, anomalies = np.empty_like(state.mean), np.empty_like(state.anomalies)
+    forward_map = state.forward_map
+    _update(
+        state.mean, state.anomalies, noise_mean[0], noise_pre[0], forward_map, forward_map.T,
+        state.observation, state.noise_cov, state.h, mean, anomalies,
     )
     return _evolved(state, mean, anomalies)
 
@@ -215,22 +245,35 @@ def run_chain(
     without numpy floating-point warnings before it. The returned states are
     views into one (n_steps+1, d) mean buffer and one (n_steps+1, J, d)
     anomaly buffer, and share the inverse problem of ``initial``.
+
+    The noise terms, which depend on the draws alone, are formed by one
+    stacked pass per block of max(1, 65536 // (J*J*K)) steps; the pass's
+    pairwise (steps, J, J, K) intermediate is at most 512 KiB (one step's if a
+    single step is larger). Each step then forms only the gain and the
+    updates, written straight into the chain buffers.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     j, d, k = initial.n_members, initial.dim, initial.obs_dim
     draws = standard_normals(seed, chain_index, n_steps * j * k).reshape(n_steps, j, k)
-    sqrt_noise = sym_sqrt(initial.noise_cov)
+    forward_map, observation = initial.forward_map, initial.observation
+    forward_map_t, noise_cov, h = forward_map.T, initial.noise_cov, initial.h
+    sqrt_noise = sym_sqrt(noise_cov)
+    block = max(1, _NOISE_BLOCK_FLOATS // (j * j * k))
     means = np.empty((n_steps + 1, d))
     anomalies = np.empty((n_steps + 1, j, d))
     means[0], anomalies[0] = initial.mean, initial.anomalies
-    # Overflow ends the chain with _advance's ValueError; numpy's warnings
+    # Overflow ends the chain with _update's ValueError; numpy's warnings
     # on the way there would only repeat it.
     with np.errstate(all="ignore"):
-        for n in range(n_steps):
-            means[n + 1], anomalies[n + 1] = _advance(
-                means[n], anomalies[n], draws[n], initial, sqrt_noise
-            )
+        for start in range(0, n_steps, block):
+            noise_mean, noise_pre = _noise_terms(draws[start:start + block], sqrt_noise, h)
+            for n in range(start, min(start + block, n_steps)):
+                _update(
+                    means[n], anomalies[n], noise_mean[n - start], noise_pre[n - start],
+                    forward_map, forward_map_t, observation, noise_cov, h,
+                    means[n + 1], anomalies[n + 1],
+                )
     return [_evolved(initial, m, a) for m, a in zip(means, anomalies)]
 
 

@@ -109,7 +109,10 @@ def enkf_csv(states: Sequence[EnsembleState]) -> str:
 
     Columns: n, mean_0..mean_{d-1}, spread, q (only for 2-member scalar
     ensembles), misfit. Misfit is the whitened data residual
-    ||noise_cov^(-1/2) (y - G mean)||_2.
+    ||noise_cov^(-1/2) (y - G mean)||_2, under the inverse problem of the
+    first state. It is formed for all rows in three stacked steps (residuals,
+    one solve per row in a single call, the norms), each bitwise the per-row
+    product.
     """
     first = states[0]
     d = first.dim
@@ -119,17 +122,21 @@ def enkf_csv(states: Sequence[EnsembleState]) -> str:
         header.append("q")
     header.append("misfit")
 
-    root = sym_sqrt(first.noise_cov)
     # Root mean squared anomaly norm of every state at once.
     anomalies = np.stack([state.anomalies for state in states])
     spreads = np.sqrt(np.mean(np.sum(anomalies**2, axis=2), axis=1))
     q = reduce_to_q(states) if scalar_pair else None
+    # Stacked forms that keep each row's bits: a (K, d) @ (d, 1) product, a
+    # solve with one right-hand side and a (1, K) @ (K, 1) product per row.
+    # means @ G.T, einsum and norm(axis=1) sum in other orders for K >= 2.
+    means = np.stack([state.mean for state in states])
+    residuals = first.observation - (first.forward_map @ means[..., None])[..., 0]
+    x = np.linalg.solve(sym_sqrt(first.noise_cov), residuals[..., None])[..., 0]
+    misfits = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
     body = []
-    for n, (state, spread) in enumerate(zip(states, spreads)):
-        residual = state.observation - state.forward_map @ state.mean
-        misfit = float(np.linalg.norm(np.linalg.solve(root, residual)))
+    for n, (mean, spread, misfit) in enumerate(zip(means, spreads, misfits)):
         row = [str(n)]
-        row.extend(format_float(m) for m in state.mean)
+        row.extend(format_float(m) for m in mean)
         row.append(format_float(spread))
         if scalar_pair:
             row.append(format_float(q[n]))

@@ -323,8 +323,8 @@ def fit_rate(stats, which: str, theoretical: float) -> RateFit:
     """Least-squares line through (log2 h, log2 error).
 
     ``which`` selects the functional: "uniform" fits eta_error, "pointwise"
-    fits alpha_error. Zero errors are excluded with a warning; fewer than 4
-    surviving levels is an error.
+    fits alpha_error. Zero errors are excluded; fewer than 4 surviving levels
+    is an error, and otherwise the exclusion is warned about.
     """
     if which not in ("uniform", "pointwise"):
         raise ValueError(f'which must be "uniform" or "pointwise", got {which!r}')
@@ -332,14 +332,16 @@ def fit_rate(stats, which: str, theoretical: float) -> RateFit:
         (s.h, s.eta_error if which == "uniform" else s.alpha_error) for s in stats
     ]
     kept = [(h, e) for h, e in pairs if e > 0.0]
+    # Too few levels is an error on its own; a warning before it would only
+    # add lines to the one-line error.
+    if len(kept) < 4:
+        raise ValueError(f"need at least 4 positive-error levels, have {len(kept)}")
     dropped = len(pairs) - len(kept)
     if dropped:
         warnings.warn(
             f"excluded {dropped} level(s) with zero error from the rate fit",
             stacklevel=2,
         )
-    if len(kept) < 4:
-        raise ValueError(f"need at least 4 positive-error levels, have {len(kept)}")
     log_h = np.log2([h for h, _ in kept])
     log_e = np.log2([e for _, e in kept])
     slope, intercept = np.polyfit(log_h, log_e, 1)

@@ -197,10 +197,17 @@ def test_enkf_general_shape(capsys):
         (["blowup", "--h", "1e-320", "--M", "10", "--workers", "1"], "h = 1e-320"),
         (["blowup", "--T", "1e300", "--h", "1e-300", "--M", "10", "--workers", "1"],
          "h = 1e-300"),
+        # every error is zero; fit_rate's exclusion warning used to print
+        # two lines before the error line
+        (["strong-error", "--u0", "0", "--levels", "4..7", "--M", "64", "--workers", "1"],
+         "positive-error levels"),
+        (["strong-error", "--T", "1e-300", "--levels", "4..7", "--M", "64", "--workers", "1"],
+         "positive-error levels"),
     ],
 )
 # pytest captures warnings instead of printing them, so make them fail
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_usage_errors_exit_2(argv, fragment, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

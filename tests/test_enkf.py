@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from weaktame import enkf
 from weaktame.brownian import standard_normals
 from weaktame.enkf import (
     EnsembleState,
@@ -302,3 +305,105 @@ def test_enkf_csv_spread_equals_per_state_spread_bitwise(j, d):
     assert [line.split(",")[column] for line in lines[1:]] == [
         format_float(spread(s)) for s in states
     ]
+
+
+def reference_gain(cpp, cup, noise_cov, h):
+    system = h * cpp + noise_cov
+    if system.shape == (1, 1):
+        return cup / system[0, 0]
+    return np.linalg.solve(system, cup.T).T
+
+
+def reference_advance(mean, anomalies, perturbations, state, sqrt_noise):
+    # one update as a single step forms it, perturbation terms included
+    forward_map, h = state.forward_map, state.h
+    sqrt_h = np.sqrt(h)
+    j = anomalies.shape[0]
+    mapped = anomalies @ forward_map.T
+    cpp = (mapped.T @ mapped) / j
+    cup = (anomalies.T @ mapped) / j
+    gain = reference_gain(cpp, cup, state.noise_cov, h)
+    innovation = state.observation - forward_map @ mean
+    zeta_bar = perturbations.sum(axis=0) / j
+    new_mean = (mean + gain @ (h * innovation)) + gain @ (sqrt_h * (sqrt_noise @ zeta_bar))
+    delta = (perturbations[:, None, :] - perturbations[None, :, :]).sum(axis=1) / j
+    drift_term = (-(h * mapped)) @ gain.T
+    noise_term = (sqrt_h * (delta @ sqrt_noise.T)) @ gain.T
+    return new_mean, (anomalies + drift_term) + noise_term
+
+
+def general_state(j, d, k, spd, h=0.1):
+    # spd: a non-identity SPD noise_cov, a non-identity G and y != 0
+    rng = np.random.default_rng(100 * j + 10 * d + k)
+    if spd:
+        a = rng.normal(size=(k, k))
+        noise_cov = a @ a.T + k * np.eye(k)
+        noise_cov = (noise_cov + noise_cov.T) / 2.0
+        forward_map, observation = rng.normal(size=(k, d)), rng.normal(size=k)
+    else:
+        noise_cov, forward_map, observation = np.eye(k), np.eye(k, d), np.zeros(k)
+    return EnsembleState.from_particles(
+        rng.normal(size=(j, d)), forward_map, observation, noise_cov, h
+    )
+
+
+STEPPED_CASES = [
+    (2, 1, 1, False), (3, 1, 1, False), (5, 3, 2, False), (9, 1, 1, False),
+    (17, 2, 1, False), (40, 1, 1, False), (40, 3, 2, False),
+    (5, 3, 2, True), (6, 2, 3, True), (33, 5, 1, True), (40, 4, 3, True), (64, 2, 3, True),
+]
+
+
+@pytest.mark.parametrize("j, d, k, spd", STEPPED_CASES)
+def test_run_chain_equals_single_steps_bitwise(j, d, k, spd):
+    state = general_state(j, d, k, spd)
+    n_steps = 60
+    if j >= 40:  # long enough to span several stacked noise blocks
+        assert n_steps > enkf._NOISE_BLOCK_FLOATS // (j * j * k)
+    states = run_chain(state, n_steps, seed=8, chain_index=j)
+    draws = standard_normals(8, j, n_steps * j * k).reshape(n_steps, j, k)
+    sqrt_noise = sym_sqrt(state.noise_cov)
+    mean, anomalies = state.mean, state.anomalies
+    for n in range(n_steps):
+        mean, anomalies = reference_advance(mean, anomalies, draws[n], state, sqrt_noise)
+        assert np.array_equal(states[n + 1].mean, mean)
+        assert np.array_equal(states[n + 1].anomalies, anomalies)
+
+
+@pytest.mark.parametrize("j, d, k, spd", STEPPED_CASES)
+def test_enkf_step_equals_one_step_chain(j, d, k, spd):
+    state = general_state(j, d, k, spd)
+    draws = standard_normals(3, 1, j * k).reshape(j, k)
+    stepped = enkf_step(state, draws)
+    chained = run_chain(state, 1, seed=3, chain_index=1)[1]
+    assert np.array_equal(stepped.mean, chained.mean)
+    assert np.array_equal(stepped.anomalies, chained.anomalies)
+
+
+def test_run_chain_memory_does_not_grow_with_the_noise_stack():
+    # J = 40, d = 3, K = 2 over 2000 steps. tracemalloc peak measured on a
+    # 2-CPU Xeon with numpy 2.4.6: 3.94 MiB when each step formed its own
+    # noise terms, 3.95 MiB with blocked stacks; one stack over the whole
+    # chain (its (2000, 40, 40, 2) pairwise intermediate) took 53.2 MiB.
+    state = general_state(40, 3, 2, False)
+    tracemalloc.start()
+    try:
+        run_chain(state, 2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 3.94 * 2**20
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_enkf_csv_misfit_equals_per_row_solve(k):
+    state = general_state(6, 4, k, True)
+    states = run_chain(state, 40, seed=5)
+    lines = enkf_csv(states).splitlines()
+    column = lines[0].split(",").index("misfit")
+    root = sym_sqrt(state.noise_cov)
+    expected = []
+    for s in states:
+        residual = s.observation - s.forward_map @ s.mean
+        expected.append(format_float(np.linalg.norm(np.linalg.solve(root, residual))))
+    assert [line.split(",")[column] for line in lines[1:]] == expected
