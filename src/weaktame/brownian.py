@@ -98,6 +98,7 @@ def increment_block(
     *,
     first_step: int = 0,
     steps: int | None = None,
+    scaled: bool = True,
 ) -> np.ndarray:
     """Increments for samples first_index .. first_index+count-1, shape (count, steps).
 
@@ -107,7 +108,8 @@ def increment_block(
     makes batched Monte Carlo independent of batching, and a path streamed
     window by window the same as one drawn whole. Philox yields four words per
     counter value, so first_step must be a multiple of 4: the window resumes
-    each row's stream at counter first_step/4.
+    each row's stream at counter first_step/4. With ``scaled=False`` the rows
+    are the standard normals themselves, without the sqrt(h) factor.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -130,7 +132,8 @@ def increment_block(
         bitgen.state = state
         raw[i] = bitgen.random_raw(steps)
     out = _normals_from_words(raw)
-    out *= np.sqrt(grid.h)  # in place: one (count, steps) array fewer at peak
+    if scaled:
+        out *= np.sqrt(grid.h)  # in place: one (count, steps) array fewer at peak
     return out
 
 

@@ -189,13 +189,13 @@ def _run_strong_error(config: ExperimentConfig) -> int:
         horizon=config.horizon,
         workers=config.workers,
     )
-    _deliver(config, reports.strong_error_csv(result))
-
+    # fit first: a fit that cannot be made is a usage error, and leaves no table
     theo_pointwise, theo_uniform = rates.theorem_exponents(config.alpha, config.eta)
     fits = {
         "uniform": strong_error.fit_rate(result, "uniform", theo_uniform),
         "pointwise": strong_error.fit_rate(result, "pointwise", theo_pointwise),
     }
+    _deliver(config, reports.strong_error_csv(result))
     sys.stdout.write(reports.rate_fits_json(fits))
     code = 0
     for name, fit in fits.items():

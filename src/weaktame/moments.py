@@ -61,23 +61,19 @@ def _valid_mask(blow: np.ndarray, n_nodes: int) -> np.ndarray:
 
 def _moment_batch(
     spec: SchemeSpec,
-    grid: TimeGrid,
-    seed: int,
-    start: int,
-    count: int,
+    h: float,
+    increments: np.ndarray,
     u0: float,
     ps: tuple[float, ...],
 ):
     """Pure per-batch accumulation; everything downstream is an ordered merge."""
-    increments = increment_block(seed, start, count, grid)
-    values, blow = integrate_increments(spec, grid.h, increments, u0)
+    values, blow = integrate_increments(spec, h, increments, u0)
     n_nodes = values.shape[1]
     valid = _valid_mask(blow, n_nodes)
     # Zero each row from its blow-up on: |0|^p and the integral term at 0 are
     # exactly the 0.0 that saturated nodes contribute.
     absv = np.where(valid, values, 0.0)
     np.abs(absv, out=absv)
-    h = grid.h
     damping = 1.0 + h * (absv * absv)
 
     node_sums = np.empty((len(ps), n_nodes), dtype=np.float64)
@@ -100,12 +96,34 @@ def _moment_batch(
 
 
 def _endpoint_batch(
-    spec: SchemeSpec, grid: TimeGrid, seed: int, start: int, count: int, u0: float
+    spec: SchemeSpec, h: float, increments: np.ndarray, u0: float
 ) -> np.ndarray:
     """|endpoint| of every row; saturated rows end at the sentinel."""
-    increments = increment_block(seed, start, count, grid)
-    values, _ = integrate_increments(spec, grid.h, increments, u0)
+    values, _ = integrate_increments(spec, h, increments, u0)
     return np.abs(values[:, -1])
+
+
+def _every_grid_batch(
+    batch, spec: SchemeSpec, grids, seed: int, start: int, count: int, u0: float, *extra
+) -> list:
+    """``batch(spec, grid.h, increments, u0, *extra)`` of one sample range on
+    every grid, ``grids`` ordered by step count.
+
+    Row i of a grid's increments is sqrt(h) times the first n_steps words of
+    stream (seed, start + i), so every grid's increments are a prefix of the
+    last grid's, scaled: the range is drawn once, unscaled, at the last grid.
+    That grid goes last and is scaled in place, so no scaled copy of the full
+    draw is ever held beside it.
+    """
+    *shorter, longest = grids
+    unscaled = increment_block(seed, start, count, longest, scaled=False)
+    out = [
+        batch(spec, grid.h, unscaled[:, : grid.n_steps] * np.sqrt(grid.h), u0, *extra)
+        for grid in shorter
+    ]
+    unscaled *= np.sqrt(longest.h)
+    out.append(batch(spec, longest.h, unscaled, u0, *extra))
+    return out
 
 
 def _bootstrap(
@@ -152,26 +170,27 @@ def _grid_batches(
     workers: int,
     *extra,
 ) -> list[list]:
-    """Per-grid results of ``batch(spec, grid, seed, start, count, u0,
-    *extra)``, in batch order, from one run_batches call.
+    """Per-grid results of ``batch(spec, grid.h, increments, u0, *extra)``,
+    in batch order, from one run_batches call.
 
-    Each distinct grid is simulated once. Calls go out largest grid first,
-    so the last ones to finish are the short ones.
+    There is one call per sample batch, and it runs every distinct grid from
+    one draw at the longest grid (_every_grid_batch). So all calls cost the
+    same, and a run of one batch (n_samples <= MOMENT_BATCH_SIZE) is one call
+    in one process.
     """
     grids = list(grids)
-    ranges = batch_ranges(n_samples, MOMENT_BATCH_SIZE)
-    distinct = sorted(dict.fromkeys(grids), key=lambda g: -g.n_steps)
+    if not grids:
+        return []
+    distinct = sorted(dict.fromkeys(grids), key=lambda g: g.n_steps)
     results = run_batches(
-        batch,
+        _every_grid_batch,
         [
-            (spec, grid, seed, start, count, u0, *extra)
-            for grid in distinct
-            for start, count in ranges
+            (batch, spec, distinct, seed, start, count, u0, *extra)
+            for start, count in batch_ranges(n_samples, MOMENT_BATCH_SIZE)
         ],
         workers=workers,
     )
-    nb = len(ranges)
-    by_grid = {grid: results[k * nb : (k + 1) * nb] for k, grid in enumerate(distinct)}
+    by_grid = {grid: [r[k] for r in results] for k, grid in enumerate(distinct)}
     return [by_grid[grid] for grid in grids]
 
 
@@ -216,8 +235,9 @@ def moment_tables(
 ) -> list[list[MomentReport]]:
     """moment_table for every grid, in ``grids`` order, from one batch pass.
 
-    All grids' batches go to one run_batches call (one worker pool); each
-    grid's reports equal those of its own moment_table call.
+    One run_batches call (one worker pool) gets one call per sample batch,
+    which draws the batch once at the longest grid and runs every grid from
+    that draw; each grid's reports equal those of its own moment_table call.
     """
     ps = tuple(float(p) for p in ps)
     if not ps or not all(np.isfinite(p) and p > 0 for p in ps):

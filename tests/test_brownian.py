@@ -104,6 +104,24 @@ def test_increment_block_rejects_bad_windows(first_step, steps):
         increment_block(0, 0, 2, TimeGrid(1.0, 5, 1), first_step=first_step, steps=steps)
 
 
+@pytest.mark.parametrize("start", [0, 1000])
+@pytest.mark.parametrize(
+    "grids",
+    [
+        [TimeGrid(1.0, level, 1) for level in range(4, 11)],
+        [TimeGrid(1.0, 0, n) for n in (10, 20, 40)],  # the blowup profile's h
+    ],
+    ids=["levels-4..10", "steps-10,20,40"],
+)
+def test_every_grid_is_a_scaled_prefix_of_the_longest_unscaled_draw(grids, start):
+    # the moment engine draws a batch once at its longest grid and slices it
+    unscaled = increment_block(4, start, 5, grids[-1], scaled=False)
+    assert unscaled.shape == (5, grids[-1].n_steps)
+    for grid in grids:
+        prefix = unscaled[:, : grid.n_steps] * np.sqrt(grid.h)
+        assert np.array_equal(prefix, increment_block(4, start, 5, grid))
+
+
 def test_increment_variance_scales_with_h():
     grid = TimeGrid(1.0, 4, 1)
     block = increment_block(11, 0, 2000, grid)

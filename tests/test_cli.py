@@ -231,6 +231,21 @@ def test_moments_overflow_exits_2_without_a_table(tmp_path, capsys):
     assert not out.exists() and not out.with_suffix(".config.json").exists()
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_strong_error_fit_failure_exits_2_without_a_table(tmp_path, capsys):
+    # every error is zero at the fixed point u0 = 0, so no rate can be fitted
+    out = tmp_path / "s.csv"
+    argv = ["strong-error", "--u0", "0", "--levels", "4..7", "--M", "64",
+            "--workers", "1", "-o", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    assert "positive-error levels" in captured.err
+    assert not out.exists() and not out.with_suffix(".config.json").exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

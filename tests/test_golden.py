@@ -67,7 +67,7 @@ def test_strong_error_golden_bytes_with_uneven_tasks(workers, capsys):
     assert_golden("strong_error_M1280.txt", capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_moments_golden_bytes(workers, capsys):
     argv = ["moments", "--levels", "4..8", "--p", "1,2,2.5", "--M", "1024",
             "--seed", "1", "--workers", str(workers)]
@@ -85,7 +85,7 @@ def test_moments_golden_bytes_with_blowups(workers, capsys):
     assert_golden("moments_naive_em_u0_3.txt", capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_blowup_golden_bytes(workers, capsys):
     argv = ["blowup", "--h", "0.2,0.1,0.05", "--u0", "3", "--M", "1024", "--seed", "1",
             "--workers", str(workers)]
