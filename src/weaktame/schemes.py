@@ -11,7 +11,11 @@ that advances a batch of increment rows, one step for all rows at a time:
 
 The weak-tamed scheme and regularized_em(eps=h) execute the same kernel, so
 their trajectories agree bit for bit. Non-finite or astronomically large
-values are recorded as blow-ups and saturated, never raised.
+values are recorded as blow-ups and saturated, never raised. While every row
+stays in range, the step loop checks the range once per chunk of
+_RANGE_CHUNK steps, on the chunk's max and min (which NaN fails too). The
+first chunk that fails is redone from its start, and every step after it is
+taken with a check per step, so the values are those of a check per step.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ __all__ = [
 ]
 
 SATURATION_LIMIT = 1e150
+# Steps between range checks in integrate_increments while no row has left
+# the range; a chunk that does is redone step by step, so at most this many
+# steps are computed twice.
+_RANGE_CHUNK = 64
 
 _VARIANTS = {
     "naive_em",
@@ -142,8 +150,24 @@ def integrate_increments(
     alive = np.ones(n_batch, dtype=bool)
     any_dead = False
     v = values_t[0]
+    n = 0
     with np.errstate(all="ignore"):
-        for n in range(n_steps):
+        # Unchecked chunks while every row stays in range: max and min also
+        # flag NaN. The first chunk that leaves the range is redone below.
+        while n < n_steps and n_batch:
+            stop = min(n + _RANGE_CHUNK, n_steps)
+            w = v
+            for k in range(n, stop):
+                w = _raw_update(variant, eps, w, h, inc_t[k])
+                values_t[k + 1] = w
+            block = values_t[n + 1 : stop + 1]
+            if not (
+                block.max() <= SATURATION_LIMIT and block.min() >= -SATURATION_LIMIT
+            ):
+                break
+            v = w
+            n = stop
+        for n in range(n, n_steps):
             w = _raw_update(variant, eps, v, h, inc_t[n])
             ok = np.abs(w) <= SATURATION_LIMIT  # False for NaN and inf too
             if not ok.all():
@@ -189,12 +213,17 @@ def interpolant_increments(
     h_coarse: float,
     fine_increments: np.ndarray,
     h_fine: float,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-coefficient interpolant of coarse trajectories on the fine grid.
 
     coarse_values is (B, Nc+1), fine_increments (B, Nf) with Nf a multiple of
     Nc. Coarse nodes are copied, so the interpolant matches the trajectory
     there bit for bit. Returns (values (B, Nf+1), saturated_row (B,) bool).
+    ``out``, a float64 (B, Nf+1) array with contiguous rows, receives the
+    values and is returned, unless a row saturated: the clamped values are
+    then a new array.
     """
     coarse_values = np.asarray(coarse_values, dtype=np.float64)
     fine_increments = np.asarray(fine_increments, dtype=np.float64)
@@ -208,28 +237,45 @@ def interpolant_increments(
     if nc < 1 or nf % nc:
         raise ValueError(f"{nf} fine steps do not refine {nc} coarse steps")
     factor = nf // nc
+    if out is None:
+        values = np.empty((n_batch, nf + 1), dtype=np.float64)
+    elif out.shape != (n_batch, nf + 1) or out.dtype != np.float64 or out.strides[1] != 8:
+        raise ValueError(
+            f"out must be a float64 {(n_batch, nf + 1)} array with contiguous rows"
+        )
+    else:
+        values = out
 
     v_left = coarse_values[:, :-1]
     with np.errstate(all="ignore"):
         f_left, s_left = _frozen_coefficients(
             spec.variant, spec.epsilon, h_coarse, v_left
         )
-        # Only the first factor-1 partial sums of a cell are interior nodes.
-        partial = np.cumsum(
-            fine_increments.reshape(n_batch, nc, factor)[:, :, :-1], axis=2
-        )
+        # Only the first factor-1 partial sums of a cell are interior nodes:
+        # each is (v + offset*f) + s*partial, partial summed in cell order.
+        # Both additions commute, so s*partial may be formed first.
+        fine_cells = fine_increments.reshape(n_batch, nc, factor)
         offsets = h_fine * np.arange(1, factor, dtype=np.float64)
-
-        # Cells are views into ``values``; each interior node is
-        # (v + offset*f) + s*partial, in that order.
-        values = np.empty((n_batch, nf + 1), dtype=np.float64)
-        cells = values[:, :nf].reshape(n_batch, nc, factor)
+        cells = values[:, :nf].reshape(n_batch, nc, factor)  # views
         cells[:, :, 0] = v_left
-        inner = cells[:, :, 1:]
-        np.multiply(offsets, f_left[:, :, None], out=inner)
-        inner += v_left[:, :, None]
-        partial *= s_left[:, :, None]
-        inner += partial
+        if factor <= 4:
+            # One (B, nc) pass per offset: broadcast updates would run numpy
+            # inner loops only factor-1 long.
+            partial = None
+            for k in range(1, factor):
+                step = fine_cells[:, :, k - 1]
+                partial = step if partial is None else partial + step
+                node = cells[:, :, k]
+                np.multiply(f_left, offsets[k - 1], out=node)
+                node += v_left
+                node += s_left * partial
+        else:
+            inner = cells[:, :, 1:]
+            np.cumsum(fine_cells[:, :, :-1], axis=2, out=inner)
+            inner *= s_left[:, :, None]
+            drift = np.multiply(offsets, f_left[:, :, None])
+            drift += v_left[:, :, None]
+            inner += drift
         values[:, nf] = coarse_values[:, -1]
 
         # Row extremes flag NaN too (max and min propagate it), without an

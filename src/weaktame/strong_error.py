@@ -118,10 +118,13 @@ def _error_task(
     ``work`` lists (level, scheme) pairs coarsest first, none finer than the
     reference. The task walks the reference grid in windows of whole coarsest
     cells (about _CHUNK_NODES reference steps). Per window it draws the
-    window's increments, integrates the reference and every entry on from the
-    row states the last window ended in, and folds each entry's
-    |interp - ref| into running row maxima, per-unit node sums and saturation
-    flags. So nothing as wide as the reference grid is held but the node sums.
+    window's increments and integrates the reference and every entry on from
+    the row states the last window ended in. Then, one merge unit at a time,
+    it interpolates each entry into one (unit rows, window + 1) buffer
+    allocated once per task, and folds the unit's |interp - ref| into running
+    row maxima, the unit's node sums and saturation flags while the block is
+    still in cache. So nothing as wide as the reference grid is held but the
+    node sums.
 
     Returns (sup_powers (len(work), rows), node_power_sums (units, len(work),
     Nref+1), blowups (units, len(work))), bitwise the same as reducing each
@@ -143,6 +146,7 @@ def _error_task(
     saturated = np.zeros((len(work), n_rows), dtype=bool)
     sup_err = np.zeros((len(work), n_rows))
     node_power_sums = np.empty((len(units), len(work), n_ref + 1))
+    unit_buffer = np.empty((max(count for _, count in units), window + 1))
 
     for n0 in range(0, n_ref, window):
         n1 = min(n0 + window, n_ref)
@@ -179,18 +183,22 @@ def _error_task(
                 coarse_values[frozen] = states[idx][frozen, None]
             frozen |= coarse_blow >= 0
             states[idx] = coarse_values[:, -1]
-            interp, sat = interpolant_increments(
-                run_spec, coarse_values, h_coarse, fine, h_ref
-            )
-            saturated[idx] |= sat
-            err = interp[:, :stop]
-            np.subtract(err, ref_values[:, :stop], out=err)
-            np.abs(err, out=err)
-            np.maximum(sup_err[idx], err.max(axis=1), out=sup_err[idx])
-            if alpha != 1.0:
-                err **= alpha
+            # One merge unit at a time, so its block is still in cache from
+            # the interpolant through the unit's column sums.
             for sums, (r0, r1) in zip(node_power_sums, bounds):
-                sums[idx, n0 : n0 + stop] = err[r0:r1].sum(axis=0)
+                interp, sat = interpolant_increments(
+                    run_spec, coarse_values[r0:r1], h_coarse, fine[r0:r1], h_ref,
+                    out=unit_buffer[: r1 - r0, : n1 - n0 + 1],
+                )
+                saturated[idx, r0:r1] |= sat
+                err = interp[:, :stop]
+                np.subtract(err, ref_values[r0:r1, :stop], out=err)
+                np.abs(err, out=err)
+                row_sup = sup_err[idx, r0:r1]
+                np.maximum(row_sup, err.max(axis=1), out=row_sup)
+                if alpha != 1.0:
+                    err **= alpha
+                sums[idx, n0 : n0 + stop] = err.sum(axis=0)
 
     blowups = np.array([(dead | saturated)[:, r0:r1].sum(axis=1) for r0, r1 in bounds])
     return sup_err**eta, node_power_sums, blowups
@@ -205,6 +213,21 @@ def _task_units(
     unit's result does not."""
     size = min(_MAX_TASK_UNITS, -(-len(units) // max(1, workers)))
     return [tuple(units[i : i + size]) for i in range(0, len(units), size)]
+
+
+def _merge_tasks(task_results: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's sup powers (len(work), M), the node sums (len(work),
+    Nref+1) and blow-up counts (len(work),) from _error_task results in unit
+    order. The node sums fold unit by unit into one running sum: bitwise the
+    sum over a concatenation of every unit, which adds the outer axis in
+    order, without that copy. So tasks must not pre-sum their own units."""
+    sup_powers = np.concatenate([task[0] for task in task_results], axis=1)
+    unit_sums = (sums for task in task_results for sums in task[1])
+    node_power_sums = next(unit_sums).copy()
+    for sums in unit_sums:
+        node_power_sums += sums
+    blowups = np.concatenate([task[2] for task in task_results]).sum(axis=0)
+    return sup_powers, node_power_sums, blowups
 
 
 def _bootstrap_ci_log2(values: np.ndarray, eta: float, seed: int, tag: int) -> float:
@@ -269,9 +292,7 @@ def estimate_strong_error(
         [(work, ref_grid, eta, alpha, u0, seed, units) for units in tasks],
         workers=workers,
     )
-    sup_powers = np.concatenate([task[0] for task in task_results], axis=1)
-    node_power_sums = np.concatenate([task[1] for task in task_results]).sum(axis=0)
-    blowups = np.concatenate([task[2] for task in task_results]).sum(axis=0)
+    sup_powers, node_power_sums, blowups = _merge_tasks(task_results)
     eta_errors = [float(np.mean(row)) ** (1.0 / eta) for row in sup_powers]
     alpha_errors = [
         float(np.max(row) / n_samples) ** (1.0 / alpha) for row in node_power_sums

@@ -10,6 +10,8 @@ from weaktame.schemes import (
     SATURATION_LIMIT,
     WEAK_TAMED_ENKF,
     SchemeSpec,
+    _frozen_coefficients,
+    _raw_update,
     integrate_increments,
     interpolant_increments,
     regularized_em,
@@ -230,3 +232,113 @@ def test_interpolant_inherits_coarse_blowup():
     interp, saturated = interpolant_increments(NAIVE_EM, coarse, 0.2, quiet, 0.1)
     assert saturated[0]
     assert np.all(np.abs(interp[0, 2 * blow[0] :]) == SATURATION_LIMIT)
+
+
+def stepwise_integrate(spec, h, increments, u0):
+    """The step loop with a range check after every step, as a reference for
+    the chunked check in integrate_increments."""
+    n_batch, n_steps = increments.shape
+    values = np.empty((n_batch, n_steps + 1))
+    values[:, 0] = u0
+    blow = np.full(n_batch, -1, dtype=np.int64)
+    alive = np.ones(n_batch, dtype=bool)
+    any_dead = False
+    v = values[:, 0]
+    with np.errstate(all="ignore"):
+        for n in range(n_steps):
+            w = _raw_update(spec.variant, spec.epsilon, v, h, increments[:, n])
+            ok = np.abs(w) <= SATURATION_LIMIT
+            if not ok.all():
+                newly = ~ok & alive
+                clamped = np.clip(w, -SATURATION_LIMIT, SATURATION_LIMIT)
+                clamped = np.where(np.isnan(w), np.copysign(SATURATION_LIMIT, v), clamped)
+                w = np.where(newly, clamped, w)
+                blow[newly] = n + 1
+                if any_dead:
+                    w = np.where(alive, w, v)
+                alive &= ok
+                any_dead = True
+            elif any_dead:
+                w = np.where(alive, w, v)
+            values[:, n + 1] = w
+            v = w
+    return values, blow
+
+
+@pytest.mark.parametrize("n_steps", [1, 64, 65, 700])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_chunked_range_check_matches_the_stepwise_loop(spec, n_steps):
+    # A non-finite increment at step index k blows its row up at node k + 1:
+    # inside the first chunk, at nodes 63, 64 and 65 around its end, and in a
+    # later chunk. u0 = +-10 and +-1e100 make naive_em blow up on its own.
+    u0 = np.array([0.5, -0.5, 10.0, -10.0, 1e100, -1e100])
+    h = 0.05
+    rng = np.random.default_rng(n_steps)
+    for position in (None, 0, 62, 63, 64, 299):
+        if position is not None and position >= n_steps:
+            continue
+        for bad in (np.inf, -np.inf, np.nan):
+            increments = np.sqrt(h) * rng.standard_normal((len(u0), n_steps))
+            if position is not None:
+                increments[::2, position] = bad  # every other row
+            values, blow = integrate_increments(spec, h, increments, u0)
+            want, want_blow = stepwise_integrate(spec, h, increments, u0)
+            assert values.tobytes() == want.tobytes()
+            assert blow.tobytes() == want_blow.tobytes()
+            if position is not None:
+                assert blow[0] == position + 1  # u0 = 0.5 stays in range till then
+
+
+def broadcast_interpolant_nodes(spec, coarse_values, h_coarse, fine, h_fine):
+    """Every interpolant node as (v + offset*f) + s*partial on 3-d broadcasts,
+    without saturation, as a reference."""
+    n_batch, nf = fine.shape
+    nc = coarse_values.shape[1] - 1
+    factor = nf // nc
+    v = coarse_values[:, :-1, None]
+    with np.errstate(all="ignore"):
+        f, s = _frozen_coefficients(spec.variant, spec.epsilon, h_coarse, v)
+        partial = np.cumsum(fine.reshape(n_batch, nc, factor)[:, :, :-1], axis=2)
+        offsets = h_fine * np.arange(1, factor, dtype=np.float64)
+        inner = (v + offsets * f) + s * partial
+    cells = np.concatenate([v, inner], axis=2).reshape(n_batch, nf)
+    return np.concatenate([cells, coarse_values[:, -1:]], axis=1)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 5, 8, 16, 1024])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_interpolant_into_a_buffer_matches_the_allocating_call(spec, factor):
+    nc = max(1, 64 // factor)
+    h_fine = 1.0 / (nc * factor)
+    h_coarse = factor * h_fine
+    fine = increment_block(5, 0, 6, TimeGrid(1.0, 0, nc * factor))
+    coarse, _ = integrate_increments(spec, h_coarse, coarsen_increments(fine, factor), 1.2)
+    want = broadcast_interpolant_nodes(spec, coarse, h_coarse, fine, h_fine)
+    # a wider buffer, written through a view of its leading block
+    buf = np.full((8, nc * factor + 5), np.pi)
+    out = buf[:6, : nc * factor + 1]
+    got, sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine, out=out)
+    alloc, alloc_sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine)
+    assert got is out and not sat.any() and not alloc_sat.any()
+    assert got.tobytes() == alloc.tobytes() == want.tobytes()
+    assert (buf[6:] == np.pi).all() and (buf[:, nc * factor + 1 :] == np.pi).all()
+
+    # one saturated row: the clamped values are a new array, still right
+    coarse[1, -1] = 2 * SATURATION_LIMIT
+    got, sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine, out=out)
+    alloc, alloc_sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine)
+    assert got is not out
+    assert sat.tolist() == alloc_sat.tolist() == [False, True, False, False, False, False]
+    assert got.tobytes() == alloc.tobytes()
+    assert got[1, -1] == SATURATION_LIMIT
+    unsaturated = [0, 2, 3, 4, 5]
+    assert got[unsaturated].tobytes() == want[unsaturated].tobytes()
+
+
+def test_interpolant_rejects_a_mismatched_buffer():
+    fine = np.zeros((2, 8))
+    coarse = np.ones((2, 3))
+    with pytest.raises(ValueError, match="out must be"):
+        interpolant_increments(NAIVE_EM, coarse, 0.5, fine, 0.125, out=np.empty((2, 8)))
+    with pytest.raises(ValueError, match="out must be"):
+        interpolant_increments(NAIVE_EM, coarse, 0.5, fine, 0.125, out=np.empty((9, 2)).T)

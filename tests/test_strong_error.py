@@ -228,11 +228,16 @@ def test_interpolant_saturation_counts_as_a_blowup(monkeypatch):
     base = strong_error._error_task(*args)
     assert not base[2].any()
 
-    def one_row_saturated(spec, values, h, fine, h_fine):
-        interp, sat = interpolant_increments(spec, values, h, fine, h_fine)
+    level5_calls = []
+
+    def one_row_saturated(spec, values, h, fine, h_fine, **kwargs):
+        # called once per unit, units in order, within each window and entry
+        interp, sat = interpolant_increments(spec, values, h, fine, h_fine, **kwargs)
         if h == 2.0**-5:
-            sat = sat.copy()
-            sat[70] = True  # row 6 of the second unit, values unchanged
+            level5_calls.append(h)
+            if len(level5_calls) % len(units) == 0:
+                sat = sat.copy()
+                sat[6] = True  # row 6 of the second unit, values unchanged
         return interp, sat
 
     monkeypatch.setattr(strong_error, "interpolant_increments", one_row_saturated)
@@ -241,6 +246,35 @@ def test_interpolant_saturation_counts_as_a_blowup(monkeypatch):
     expected = base[2].copy()
     expected[1, 1] += 1  # unit 1, work entry 1 (level 5)
     assert np.array_equal(got[2], expected)
+
+
+def test_merge_folds_units_bitwise_at_uneven_tasks(monkeypatch):
+    # 5 full units and one of 17 rows, grouped as 4 + 2, 3 + 3 and 2 + 2 + 2
+    # units at 1, 2 and 3 workers: the running sum must equal the sum over
+    # every unit's node sums concatenated, and not depend on the grouping.
+    calls = []
+    run_batches = strong_error.run_batches
+
+    def recording(worker, args, workers):
+        calls.append(run_batches(worker, args, workers=workers))
+        return calls[-1]
+
+    monkeypatch.setattr(strong_error, "run_batches", recording)
+    merged, stats = [], []
+    for workers in (1, 2, 3):
+        res = estimate_strong_error(
+            NAIVE_EM, LEVELS, n_samples=5 * 256 + 17, seed=3, u0=3.0, workers=workers
+        )
+        results = calls[-1]
+        assert len(results) == {1: 2, 2: 2, 3: 3}[workers]
+        sup, sums, blowups = strong_error._merge_tasks(results)
+        want = np.concatenate([task[1] for task in results]).sum(axis=0)
+        assert sums.tobytes() == want.tobytes()
+        merged.append((sup.tobytes(), sums.tobytes(), blowups.tobytes()))
+        stats.append((res.stats, res.reference_check))
+    assert merged[0] == merged[1] == merged[2]
+    assert stats[0] == stats[1] == stats[2]
+    assert sum(s.blowup_count for s in stats[0][0]) > 0
 
 
 def test_tasks_group_consecutive_units():
