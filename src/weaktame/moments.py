@@ -15,7 +15,13 @@ import numpy as np
 
 from ._batching import batch_ranges, bootstrap_rng, run_batches
 from .brownian import TimeGrid, increment_block
-from .schemes import NAIVE_EM, WEAK_TAMED_ENKF, SchemeSpec, integrate_increments
+from .schemes import (
+    NAIVE_EM,
+    WEAK_TAMED_ENKF,
+    SchemeSpec,
+    _integrate_blocks,
+    integrate_increments,
+)
 
 __all__ = [
     "MomentReport",
@@ -59,22 +65,25 @@ def _valid_mask(blow: np.ndarray, n_nodes: int) -> np.ndarray:
     return (blow[:, None] < 0) | (nodes[None, :] < blow[:, None])
 
 
-def _moment_batch(
-    spec: SchemeSpec,
-    h: float,
-    increments: np.ndarray,
-    u0: float,
-    ps: tuple[float, ...],
-):
-    """Pure per-batch accumulation; everything downstream is an ordered merge."""
-    values, blow = integrate_increments(spec, h, increments, u0)
-    n_nodes = values.shape[1]
-    valid = _valid_mask(blow, n_nodes)
-    # Zero each row from its blow-up on: |0|^p and the integral term at 0 are
-    # exactly the 0.0 that saturated nodes contribute.
-    absv = np.where(valid, values, 0.0)
-    np.abs(absv, out=absv)
-    damping = 1.0 + h * (absv * absv)
+def _moment_batch(h: float, values: np.ndarray, blow: np.ndarray, ps: tuple[float, ...]):
+    """Pure per-batch accumulation of one grid's integrated rows (``values``
+    is overwritten); everything downstream is an ordered merge."""
+    n_rows, n_nodes = values.shape
+    if (blow < 0).all():
+        absv = np.abs(values, out=values)
+        node_count = np.full(n_nodes, n_rows, dtype=np.int64)
+        blow_count = 0
+    else:
+        valid = _valid_mask(blow, n_nodes)
+        # Zero each row from its blow-up on: |0|^p and the integral term at 0
+        # are exactly the 0.0 that saturated nodes contribute.
+        absv = np.where(valid, values, 0.0)
+        np.abs(absv, out=absv)
+        node_count = valid.sum(axis=0).astype(np.int64)
+        blow_count = int((blow >= 0).sum())
+    damping = absv * absv  # 1 + h*|v|^2, formed in place
+    damping *= h
+    damping += 1.0
 
     node_sums = np.empty((len(ps), n_nodes), dtype=np.float64)
     sup_sums = np.empty(len(ps), dtype=np.float64)
@@ -90,40 +99,38 @@ def _moment_batch(
             np.power(damping, 2.0 / (p + 2.0), out=work)
             np.divide(absv, work, out=work)
             integral_sums[i] = float(h * np.power(work, p + 2.0, out=work).sum())
-    node_count = valid.sum(axis=0).astype(np.int64)
-    blow_count = int((blow >= 0).sum())
     return node_sums, node_count, sup_sums, integral_sums, blow_count
 
 
-def _endpoint_batch(
-    spec: SchemeSpec, h: float, increments: np.ndarray, u0: float
-) -> np.ndarray:
+def _endpoint_batch(h: float, values: np.ndarray, blow: np.ndarray) -> np.ndarray:
     """|endpoint| of every row; saturated rows end at the sentinel."""
-    values, _ = integrate_increments(spec, h, increments, u0)
     return np.abs(values[:, -1])
 
 
 def _every_grid_batch(
     batch, spec: SchemeSpec, grids, seed: int, start: int, count: int, u0: float, *extra
 ) -> list:
-    """``batch(spec, grid.h, increments, u0, *extra)`` of one sample range on
-    every grid, ``grids`` ordered by step count.
+    """``batch(grid.h, values, blow, *extra)`` of one sample range on every
+    grid, ``grids`` ordered by step count.
 
     Row i of a grid's increments is sqrt(h) times the first n_steps words of
     stream (seed, start + i), so every grid's increments are a prefix of the
-    last grid's, scaled: the range is drawn once, unscaled, at the last grid.
-    That grid goes last and is scaled in place, so no scaled copy of the full
-    draw is ever held beside it.
+    last grid's, scaled: the range is drawn once, unscaled, at the last grid,
+    which is scaled in place. One _integrate_blocks call steps every grid;
+    the draw is then dropped and the grids reduced longest first, each
+    grid's values dropped once reduced.
     """
     *shorter, longest = grids
     unscaled = increment_block(seed, start, count, longest, scaled=False)
-    out = [
-        batch(spec, grid.h, unscaled[:, : grid.n_steps] * np.sqrt(grid.h), u0, *extra)
-        for grid in shorter
-    ]
+    blocks = [(g.h, unscaled[:, : g.n_steps] * np.sqrt(g.h), u0) for g in shorter]
     unscaled *= np.sqrt(longest.h)
-    out.append(batch(spec, longest.h, unscaled, u0, *extra))
-    return out
+    blocks.append((longest.h, unscaled, u0))
+    paths = _integrate_blocks(spec, blocks)
+    del blocks, unscaled
+    out = []
+    for grid in reversed(grids):
+        out.append(batch(grid.h, *paths.pop(), *extra))
+    return out[::-1]
 
 
 def _bootstrap(
@@ -170,8 +177,8 @@ def _grid_batches(
     workers: int,
     *extra,
 ) -> list[list]:
-    """Per-grid results of ``batch(spec, grid.h, increments, u0, *extra)``,
-    in batch order, from one run_batches call.
+    """Per-grid results of ``batch(grid.h, values, blow, *extra)`` on the
+    grid's integrated rows, in batch order, from one run_batches call.
 
     There is one call per sample batch, and it runs every distinct grid from
     one draw at the longest grid (_every_grid_batch). So all calls cost the

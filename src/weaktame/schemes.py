@@ -12,10 +12,13 @@ that advances a batch of increment rows, one step for all rows at a time:
 The weak-tamed scheme and regularized_em(eps=h) execute the same kernel, so
 their trajectories agree bit for bit. Non-finite or astronomically large
 values are recorded as blow-ups and saturated, never raised. While every row
-stays in range, the step loop checks the range once per chunk of
-_RANGE_CHUNK steps, on the chunk's max and min (which NaN fails too). The
-first chunk that fails is redone from its start, and every step after it is
-taken with a check per step, so the values are those of a check per step.
+stays in range, the step loop checks the range once per chunk of steps (1,
+2, 4, ... up to _RANGE_CHUNK), on the chunk's max and min (which NaN fails
+too). The first chunk that fails is redone from its start, and every step
+after it is taken with a check per step, so the values are those of a check
+per step. One loop steps several blocks of rows, each with its own h and
+step count, at once (_integrate_blocks); integrate_increments is its
+one-block case.
 """
 
 from __future__ import annotations
@@ -39,10 +42,15 @@ __all__ = [
 ]
 
 SATURATION_LIMIT = 1e150
-# Steps between range checks in integrate_increments while no row has left
-# the range; a chunk that does is redone step by step, so at most this many
-# steps are computed twice.
+# Longest run of steps between range checks while no row has left the range.
+# A loop's chunks start at one step and double up to this, so the chunk that
+# first leaves the range, redone step by step, is no longer than the steps
+# taken up to the one that left it.
 _RANGE_CHUNK = 64
+# Bytes of each time-major scratch array of the step loop (increments and
+# values): a chunk holds at most this many, however many rows are stacked,
+# so the scratch stays cache-sized and adds little resident memory.
+_CHUNK_BYTES = 1 << 19
 
 _VARIANTS = {
     "naive_em",
@@ -125,18 +133,17 @@ def integrate_increments(
     Saturation replaces an out-of-range update by sign * SATURATION_LIMIT
     (NaN inherits the sign of the previous value) and freezes the row there.
     """
+    return _integrate_blocks(spec, [(h, increments, u0)])[0]
+
+
+def _checked_block(h, increments, u0):
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2:
         raise ValueError("increments must be 2-d (batch, steps)")
     h = float(h)
     if not np.isfinite(h) or h <= 0.0:
         raise ValueError(f"h must be finite and positive, got {h!r}")
-    n_batch, n_steps = increments.shape
-    variant = spec.variant
-    eps = spec.epsilon
-
-    inc_t = np.ascontiguousarray(increments.T)
-    values_t = np.empty((n_steps + 1, n_batch), dtype=np.float64)
+    n_batch = increments.shape[0]
     u0_row = np.full(n_batch, np.float64(u0)) if np.ndim(u0) == 0 else np.asarray(
         u0, dtype=np.float64
     )
@@ -144,49 +151,115 @@ def integrate_increments(
         raise ValueError("u0 must be scalar or one value per batch row")
     if not np.all(np.isfinite(u0_row)):
         raise ValueError("u0 must be finite")
-    values_t[0] = u0_row
+    return h, increments, u0_row
 
-    blow = np.full(n_batch, -1, dtype=np.int64)
-    alive = np.ones(n_batch, dtype=bool)
-    any_dead = False
-    v = values_t[0]
-    n = 0
+
+def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """integrate_increments(spec, h, increments, u0) of every block, in order,
+    from one step loop.
+
+    Iteration k takes step k of every block that still has one. The blocks
+    are stacked in decreasing step count, so the rows still running are a
+    prefix of one state vector, with a per-row h. Every kernel acts per row,
+    and the range check and freezing too, so each block's values and blow are
+    bitwise those of its own call. Steps run in time-major chunks of at most
+    _CHUNK_BYTES per scratch array; each chunk's increments are transposed in
+    from, and its values out to, every block's row-major arrays.
+    """
+    checked = [_checked_block(*block) for block in blocks]
+    order = sorted(range(len(checked)), key=lambda i: -checked[i][1].shape[1])
+    hs, incs, u0s = zip(*(checked[i] for i in order))
+    steps = [inc.shape[1] for inc in incs]
+    bounds = np.cumsum([0] + [inc.shape[0] for inc in incs]).tolist()
+    n_rows = bounds[-1]
+    scalar_h = len(set(hs)) == 1
+    h_all = hs[0] if scalar_h else np.repeat(hs, np.diff(bounds))
+    outs = [np.empty((inc.shape[0], inc.shape[1] + 1)) for inc in incs]
+    for out, u0 in zip(outs, u0s):
+        out[:, 0] = u0
+    v = np.concatenate(u0s)
+    blow = np.full(n_rows, -1, dtype=np.int64)
+    alive = np.ones(n_rows, dtype=bool)
+    variant = spec.variant
+    eps = spec.epsilon
+    n_max = steps[0] if n_rows else 0
+    cap = max(1, min(_RANGE_CHUNK, _CHUNK_BYTES // (8 * max(n_rows, 1))))
+    inc_c = np.empty((min(cap, n_max), n_rows))
+    # Zeros: a chunk's range check spans every stacked row, and the rows of
+    # blocks that ended keep in-range values (these zeros or an earlier
+    # chunk's), so only a row that left the range fails it.
+    val_c = np.zeros_like(inc_c)
+
+    def segments(start, stop):
+        """(steps as chunk rows, the running rows' scratch increments and
+        values, and their h) of each run of steps in the chunk [start, stop)
+        over which no block ends."""
+        m = sum(s > start for s in steps)
+        n = start
+        while n < stop:
+            end = min(stop, steps[m - 1])
+            rows = bounds[m]
+            h = h_all if scalar_h else h_all[:rows]
+            yield range(n - start, end - start), inc_c[:, :rows], val_c[:, :rows], h
+            n = end
+            while m and steps[m - 1] <= n:
+                m -= 1
+
+    n, span, unchecked, any_dead = 0, 1, True, False
     with np.errstate(all="ignore"):
-        # Unchecked chunks while every row stays in range: max and min also
-        # flag NaN. The first chunk that leaves the range is redone below.
-        while n < n_steps and n_batch:
-            stop = min(n + _RANGE_CHUNK, n_steps)
-            w = v
-            for k in range(n, stop):
-                w = _raw_update(variant, eps, w, h, inc_t[k])
-                values_t[k + 1] = w
-            block = values_t[n + 1 : stop + 1]
-            if not (
-                block.max() <= SATURATION_LIMIT and block.min() >= -SATURATION_LIMIT
-            ):
-                break
-            v = w
-            n = stop
-        for n in range(n, n_steps):
-            w = _raw_update(variant, eps, v, h, inc_t[n])
-            ok = np.abs(w) <= SATURATION_LIMIT  # False for NaN and inf too
-            if not ok.all():
-                newly = ~ok & alive
-                clamped = np.clip(w, -SATURATION_LIMIT, SATURATION_LIMIT)
-                clamped = np.where(
-                    np.isnan(w), np.copysign(SATURATION_LIMIT, v), clamped
+        while n < n_max:
+            stop = min(n + span, n_max)
+            span = min(2 * span, cap)
+            for inc, r0, r1, s in zip(incs, bounds, bounds[1:], steps):
+                if s > n:
+                    inc_c[: min(stop, s) - n, r0:r1] = inc[:, n:stop].T
+            if unchecked:
+                # Unchecked steps while every row stays in range: max and
+                # min also flag NaN. The first chunk that leaves the range
+                # is redone below, as is every step after it.
+                w = v
+                for chunk_steps, dw, vals, h in segments(n, stop):
+                    w = w[: dw.shape[1]]
+                    for j in chunk_steps:
+                        w = _raw_update(variant, eps, w, h, dw[j])
+                        vals[j] = w
+                chunk = val_c[: stop - n]
+                unchecked = (
+                    chunk.max() <= SATURATION_LIMIT and chunk.min() >= -SATURATION_LIMIT
                 )
-                w = np.where(newly, clamped, w)
-                blow[newly] = n + 1
-                if any_dead:
-                    w = np.where(alive, w, v)
-                alive &= ok
-                any_dead = True
-            elif any_dead:
-                w = np.where(alive, w, v)
-            values_t[n + 1] = w
-            v = w
-    return np.ascontiguousarray(values_t.T), blow
+                if unchecked:
+                    v = w
+            if not unchecked:
+                for chunk_steps, dw, vals, h in segments(n, stop):
+                    rows = dw.shape[1]
+                    v, live, first_blow = v[:rows], alive[:rows], blow[:rows]
+                    for j in chunk_steps:
+                        w = _raw_update(variant, eps, v, h, dw[j])
+                        ok = np.abs(w) <= SATURATION_LIMIT  # False for NaN and inf too
+                        if not ok.all():
+                            newly = ~ok & live
+                            clamped = np.clip(w, -SATURATION_LIMIT, SATURATION_LIMIT)
+                            clamped = np.where(
+                                np.isnan(w), np.copysign(SATURATION_LIMIT, v), clamped
+                            )
+                            w = np.where(newly, clamped, w)
+                            first_blow[newly] = n + j + 1
+                            if any_dead:
+                                w = np.where(live, w, v)
+                            live &= ok
+                            any_dead = True
+                        elif any_dead:
+                            w = np.where(live, w, v)
+                        vals[j] = w
+                        v = w
+            for out, r0, r1, s in zip(outs, bounds, bounds[1:], steps):
+                if s > n:
+                    out[:, n + 1 : min(stop, s) + 1] = val_c[: min(stop, s) - n, r0:r1].T
+            n = stop
+    results = [None] * len(checked)
+    for i, out, r0, r1 in zip(order, outs, bounds, bounds[1:]):
+        results[i] = (out, blow[r0:r1])
+    return results
 
 
 def _frozen_coefficients(variant: str, eps: float | None, h_coarse: float, v):

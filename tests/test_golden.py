@@ -44,7 +44,7 @@ def assert_golden(name, out):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name, extra, code", CASES, ids=[c[0][:-4] for c in CASES])
 def test_strong_error_golden_bytes(name, extra, code, workers, capsys):
     argv = ["strong-error", "--levels", "4..8", "--M", "256", "--seed", "1",

@@ -315,9 +315,9 @@ def test_blowup_profile_runs_every_step_size_in_one_pass(monkeypatch):
 
 def test_every_grid_batch_memory_stays_at_the_longest_grid_alone():
     # one 512-row batch at levels 4..10. tracemalloc peaks measured on a 2-CPU
-    # Xeon with numpy 2.4.6: 20.61 MiB for the level-10 grid alone, draw
-    # included; 20.65 MiB for every grid with the longest scaled in place;
-    # 24.61 MiB when a scaled copy of the longest draw was held beside it.
+    # Xeon with numpy 2.4.6: 16.06 MiB for the level-10 grid alone, its draw
+    # held to the end; 16.71 MiB for every grid stepped in one loop, the
+    # longest draw scaled in place and dropped before the reductions.
     grids = [TimeGrid(1.0, level, 1) for level in range(4, 11)]
     ps = (1.0, 2.0, 2.5)
 
@@ -330,11 +330,13 @@ def test_every_grid_batch_memory_stays_at_the_longest_grid_alone():
             tracemalloc.stop()
 
     finest = grids[-1]
-    alone = peak(
-        lambda: moments._moment_batch(
-            WEAK_TAMED_ENKF, finest.h, increment_block(0, 0, 512, finest), 1.0, ps
-        )
-    )
+
+    def finest_alone():
+        increments = increment_block(0, 0, 512, finest)  # held to the end
+        values, blow = integrate_increments(WEAK_TAMED_ENKF, finest.h, increments, 1.0)
+        moments._moment_batch(finest.h, values, blow, ps)
+
+    alone = peak(finest_alone)
     every = peak(
         lambda: moments._every_grid_batch(
             moments._moment_batch, WEAK_TAMED_ENKF, grids, 0, 0, 512, 1.0, ps

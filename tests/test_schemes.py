@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from weaktame import schemes
 from weaktame.brownian import TimeGrid, coarsen_increments, increment_block
 from weaktame.schemes import (
     DRIFT_TAMED,
@@ -11,6 +12,7 @@ from weaktame.schemes import (
     WEAK_TAMED_ENKF,
     SchemeSpec,
     _frozen_coefficients,
+    _integrate_blocks,
     _raw_update,
     integrate_increments,
     interpolant_increments,
@@ -268,13 +270,15 @@ def stepwise_integrate(spec, h, increments, u0):
 @pytest.mark.parametrize("n_steps", [1, 64, 65, 700])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
 def test_chunked_range_check_matches_the_stepwise_loop(spec, n_steps):
-    # A non-finite increment at step index k blows its row up at node k + 1:
-    # inside the first chunk, at nodes 63, 64 and 65 around its end, and in a
-    # later chunk. u0 = +-10 and +-1e100 make naive_em blow up on its own.
+    # A non-finite increment at step index k blows its row up at node k + 1.
+    # Chunks span steps [0, 1), [1, 3), [3, 7), ..., [63, 127), then 64
+    # steps each: the positions hit the first chunks, both sides of the
+    # boundaries at 63 and 127, and a later chunk. u0 = +-10 and +-1e100 make
+    # naive_em blow up on its own.
     u0 = np.array([0.5, -0.5, 10.0, -10.0, 1e100, -1e100])
     h = 0.05
     rng = np.random.default_rng(n_steps)
-    for position in (None, 0, 62, 63, 64, 299):
+    for position in (None, 0, 1, 2, 62, 63, 64, 126, 127, 299):
         if position is not None and position >= n_steps:
             continue
         for bad in (np.inf, -np.inf, np.nan):
@@ -287,6 +291,87 @@ def test_chunked_range_check_matches_the_stepwise_loop(spec, n_steps):
             assert blow.tobytes() == want_blow.tobytes()
             if position is not None:
                 assert blow[0] == position + 1  # u0 = 0.5 stays in range till then
+
+
+@pytest.mark.parametrize(
+    "n_steps, blow_node", [(1, 1), (40, 2), (40, 5), (700, 64), (700, 65), (700, 300)]
+)
+def test_a_loop_that_leaves_the_range_redoes_at_most_the_steps_taken(
+    monkeypatch, n_steps, blow_node
+):
+    # Chunks start at one step and double, so the chunk in which the row
+    # leaves the range, redone step by step, is no longer than the steps up
+    # to the one that left it.
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _raw_update(*args)
+
+    monkeypatch.setattr(schemes, "_raw_update", counting)
+    increments = np.full((1, n_steps), 0.01)
+    increments[0, blow_node - 1] = np.inf
+    _, blow = integrate_increments(WEAK_TAMED_ENKF, 0.05, increments, 0.5)
+    assert blow[0] == blow_node
+    assert len(calls) <= n_steps + blow_node
+
+
+# Step counts of the stacked blocks, in the order passed: equal counts, one
+# step, and counts on both sides of the range check's 64-step cap.
+STACKED_STEPS = [20, 1, 1024, 64, 3, 65, 10, 40, 64, 10]
+
+
+@pytest.mark.parametrize("blow_block", [None, 1, 2, 7])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_stacked_blocks_match_one_call_per_block(monkeypatch, spec, blow_block):
+    # Block k has its own h, rows (one row in block 3) and u0 (per row in
+    # the odd blocks). With blow_block set, that block alone gets a
+    # non-finite increment in its second row; naive_em rows near u0 = 2
+    # may blow up on their own.
+    rng = np.random.default_rng(len(STACKED_STEPS) if blow_block is None else blow_block)
+    blocks = []
+    for k, n_steps in enumerate(STACKED_STEPS):
+        rows = 1 if k == 3 else 2 + k % 3
+        h = 1.0 / (n_steps + k)
+        increments = np.sqrt(h) * rng.standard_normal((rows, n_steps))
+        u0 = rng.uniform(-2.0, 2.0, rows) if k % 2 else 0.75
+        if k == blow_block:
+            increments[1, n_steps // 2] = np.inf
+        blocks.append((h, increments, u0))
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return _raw_update(*args)
+
+    monkeypatch.setattr(schemes, "_raw_update", counting)
+    stacked = _integrate_blocks(spec, blocks)
+    monkeypatch.undo()
+    assert len(stacked) == len(blocks)
+    if not any((blow >= 0).any() for _, blow in stacked):
+        # one update per step of the longest block: no chunk was redone
+        assert len(calls) == max(STACKED_STEPS)
+    for (h, increments, u0), (values, blow) in zip(blocks, stacked):
+        want, want_blow = integrate_increments(spec, h, increments, u0)
+        assert values.tobytes() == want.tobytes()
+        assert blow.tobytes() == want_blow.tobytes()
+    if blow_block is not None:
+        assert stacked[blow_block][1][1] == STACKED_STEPS[blow_block] // 2 + 1
+        if spec != NAIVE_EM:
+            assert [(b >= 0).any() for _, b in stacked] == [
+                k == blow_block for k in range(len(blocks))
+            ]
+
+
+def test_stacked_blocks_of_no_steps_or_no_rows():
+    # a block of no steps and a block of no rows ride along unchanged
+    long = np.full((2, 70), 0.1)
+    blocks = [(0.1, np.empty((3, 0)), 1.5), (0.1, long, 1.0), (0.2, np.empty((0, 5)), 1.0)]
+    values = _integrate_blocks(WEAK_TAMED_ENKF, blocks)
+    want, _ = integrate_increments(WEAK_TAMED_ENKF, 0.1, long, 1.0)
+    assert values[0][0].tolist() == [[1.5]] * 3 and values[0][1].tolist() == [-1] * 3
+    assert values[1][0].tobytes() == want.tobytes()
+    assert values[2][0].shape == (0, 6) and values[2][1].shape == (0,)
 
 
 def broadcast_interpolant_nodes(spec, coarse_values, h_coarse, fine, h_fine):
