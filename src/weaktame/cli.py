@@ -290,8 +290,8 @@ def _run_enkf(config: ExperimentConfig) -> int:
         noise_cov=np.eye(k),
         h=config.step_size,
     )
-    states = run_chain(initial, config.n_steps, config.seed, chain_index=0)
-    _deliver(config, reports.enkf_csv(states))
+    chain = run_chain(initial, config.n_steps, config.seed, chain_index=0)
+    _deliver(config, reports.enkf_csv(chain))
     return 0
 
 
@@ -484,16 +484,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        # Inside the try: a level range or grid too large for memory fails
+        # while its flag is parsed.
+        config = _config_from_args(parser.parse_args(argv))
         return run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # numpy refuses arrays beyond the address space at once, naming the size
-        print(f"error: run too large for memory: {exc}", file=sys.stderr)
+        # numpy refuses arrays beyond the address space at once, naming the
+        # size; a flag's tuple that outgrows memory fails with no message
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: run too large for memory{detail}", file=sys.stderr)
         return 2
 
 

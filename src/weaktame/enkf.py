@@ -17,16 +17,17 @@ States built with from_particles center at the rounded particle mean and are
 not guaranteed to keep exact antisymmetry; the reduction identity is exact
 for states whose anomalies are supplied directly.
 
-The noise terms depend on the perturbations alone. _noise_terms forms them
-for a stack of steps (one stack per call to enkf_step, blocks of steps in
-run_chain, each holding at most 512 KiB of pairwise differences or one
-step's, if that is more), and _update, the per-step arithmetic, forms only
-the gain and the two updates.
+A chain is one EnsembleChain: its iterates are the rows of one mean and one
+anomaly array. _chain is the one step loop; run_chain runs it on replayable
+draws, and enkf_step is its one-step case. The noise terms depend on the
+perturbations alone, so _chain forms them for blocks of steps (each holding
+at most 512 KiB of pairwise differences, or one step's if that is more), and
+_update, the per-step arithmetic, forms only the gain and the two updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .brownian import standard_normals
 __all__ = [
     "EnsembleState",
     "sym_sqrt",
+    "EnsembleChain",
     "enkf_step",
     "run_chain",
     "reduce_to_q",
@@ -126,6 +128,20 @@ class EnsembleState:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class EnsembleChain:
+    """A chain's n_steps + 1 iterates (its len): iterate n is (means[n],
+    anomalies[n]) of the (n_steps+1, d) and (n_steps+1, J, d) arrays. Row 0
+    is ``initial``, whose inverse problem every iterate shares."""
+
+    initial: EnsembleState
+    means: np.ndarray
+    anomalies: np.ndarray
+
+    def __len__(self) -> int:
+        return self.means.shape[0]
+
+
 def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Symmetric square root of an SPD matrix via eigendecomposition."""
     matrix = _as_matrix("matrix", matrix)
@@ -151,7 +167,7 @@ def _gain(cpp: np.ndarray, cup: np.ndarray, noise_cov: np.ndarray, h: float) -> 
 
 
 # Floats of the (steps, J, J, K) pairwise intermediate that one stacked
-# noise pass may hold (512 KiB): run_chain forms the noise terms of
+# noise pass may hold (512 KiB): _chain forms the noise terms of
 # max(1, _NOISE_BLOCK_FLOATS // (J * J * K)) steps at a time.
 _NOISE_BLOCK_FLOATS = 1 << 16
 
@@ -208,60 +224,16 @@ def _update(
         raise ValueError("mean must be finite")
 
 
-def _evolved(template: EnsembleState, mean: np.ndarray, anomalies: np.ndarray) -> EnsembleState:
-    """``template`` with new (mean, anomalies) from _update, built without
-    re-running __post_init__: _update has checked the only fields that changed."""
-    state = object.__new__(EnsembleState)
-    vars(state).update(vars(template), mean=mean, anomalies=anomalies)
-    return state
-
-
-def enkf_step(state: EnsembleState, perturbations: np.ndarray) -> EnsembleState:
-    """One perturbed-observations update; one N(0,1) K-vector per member."""
-    perturbations = _as_matrix(
-        "perturbations", perturbations, rows=state.n_members, cols=state.obs_dim
-    )
-    noise_mean, noise_pre = _noise_terms(perturbations[None], sym_sqrt(state.noise_cov), state.h)
-    mean, anomalies = np.empty_like(state.mean), np.empty_like(state.anomalies)
-    forward_map = state.forward_map
-    _update(
-        state.mean, state.anomalies, noise_mean[0], noise_pre[0], forward_map, forward_map.T,
-        state.observation, state.noise_cov, state.h, mean, anomalies,
-    )
-    return _evolved(state, mean, anomalies)
-
-
-def run_chain(
-    initial: EnsembleState, n_steps: int, seed: int, chain_index: int = 0
-) -> list[EnsembleState]:
-    """Apply the enkf_step update n_steps times with replayable perturbations.
-
-    Perturbations come from the same counter-based stream family as the
-    Brownian module, keyed by (seed, chain_index), consumed in
-    (step, member, component) order. Returns all n_steps+1 states.
-
-    ``initial`` is validated once, when it is constructed; each later state
-    is only checked finite, and the first that is not raises ValueError,
-    without numpy floating-point warnings before it. The returned states are
-    views into one (n_steps+1, d) mean buffer and one (n_steps+1, J, d)
-    anomaly buffer, and share the inverse problem of ``initial``.
-
-    The noise terms, which depend on the draws alone, are formed by one
-    stacked pass per block of max(1, 65536 // (J*J*K)) steps; the pass's
-    pairwise (steps, J, J, K) intermediate is at most 512 KiB (one step's if a
-    single step is larger). Each step then forms only the gain and the
-    updates, written straight into the chain buffers.
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    j, d, k = initial.n_members, initial.dim, initial.obs_dim
-    draws = standard_normals(seed, chain_index, n_steps * j * k).reshape(n_steps, j, k)
+def _chain(initial: EnsembleState, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, anomalies) of ``initial`` and the len(draws) updates that a
+    (steps, J, K) stack of N(0,1) draws drives: the one step loop."""
+    n_steps, j, k = draws.shape
     forward_map, observation = initial.forward_map, initial.observation
     forward_map_t, noise_cov, h = forward_map.T, initial.noise_cov, initial.h
     sqrt_noise = sym_sqrt(noise_cov)
     block = max(1, _NOISE_BLOCK_FLOATS // (j * j * k))
-    means = np.empty((n_steps + 1, d))
-    anomalies = np.empty((n_steps + 1, j, d))
+    means = np.empty((n_steps + 1, initial.dim))
+    anomalies = np.empty((n_steps + 1, j, initial.dim))
     means[0], anomalies[0] = initial.mean, initial.anomalies
     # Overflow ends the chain with _update's ValueError; numpy's warnings
     # on the way there would only repeat it.
@@ -274,14 +246,40 @@ def run_chain(
                     forward_map, forward_map_t, observation, noise_cov, h,
                     means[n + 1], anomalies[n + 1],
                 )
-    return [_evolved(initial, m, a) for m, a in zip(means, anomalies)]
+    return means, anomalies
 
 
-def reduce_to_q(state_sequence) -> np.ndarray:
+def enkf_step(state: EnsembleState, perturbations: np.ndarray) -> EnsembleState:
+    """One perturbed-observations update; one N(0,1) K-vector per member."""
+    perturbations = _as_matrix(
+        "perturbations", perturbations, rows=state.n_members, cols=state.obs_dim
+    )
+    means, anomalies = _chain(state, perturbations[None])
+    return replace(state, mean=means[1], anomalies=anomalies[1])
+
+
+def run_chain(
+    initial: EnsembleState, n_steps: int, seed: int, chain_index: int = 0
+) -> EnsembleChain:
+    """Apply the enkf_step update n_steps times with replayable perturbations.
+
+    Perturbations come from the same counter-based stream family as the
+    Brownian module, keyed by (seed, chain_index), consumed in
+    (step, member, component) order.
+
+    ``initial`` is validated once, when it is constructed; each later
+    iterate is only checked finite, and the first that is not raises
+    ValueError, without numpy floating-point warnings before it.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    j, k = initial.n_members, initial.obs_dim
+    draws = standard_normals(seed, chain_index, n_steps * j * k).reshape(n_steps, j, k)
+    return EnsembleChain(initial, *_chain(initial, draws))
+
+
+def reduce_to_q(chain: EnsembleChain) -> np.ndarray:
     """Deviation coordinate q_n = u_n^(1) - mean_n for 2-member scalar ensembles."""
-    out = np.empty(len(state_sequence), dtype=np.float64)
-    for i, state in enumerate(state_sequence):
-        if state.n_members != 2 or state.dim != 1:
-            raise ValueError("reduction requires J=2 ensemble members and d=1")
-        out[i] = state.anomalies[0, 0]
-    return out
+    if chain.anomalies.shape[1:] != (2, 1):
+        raise ValueError("reduction requires J=2 ensemble members and d=1")
+    return chain.anomalies[:, 0, 0].copy()

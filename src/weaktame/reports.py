@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .enkf import EnsembleState, reduce_to_q, sym_sqrt
+from .enkf import EnsembleChain, reduce_to_q, sym_sqrt
 from .strong_error import RateFit
 
 __all__ = [
@@ -104,32 +104,29 @@ def blowup_csv(rows) -> str:
     return _table(("h", "median_abs_endpoint", "exceed_fraction"), body)
 
 
-def enkf_csv(states: Sequence[EnsembleState]) -> str:
-    """Per-iterate CSV for a chain of ensemble states.
+def enkf_csv(chain: EnsembleChain) -> str:
+    """Per-iterate CSV for a chain of ensemble iterates.
 
     Columns: n, mean_0..mean_{d-1}, spread, q (only for 2-member scalar
     ensembles), misfit. Misfit is the whitened data residual
-    ||noise_cov^(-1/2) (y - G mean)||_2, under the inverse problem of the
-    first state. It is formed for all rows in three stacked steps (residuals,
-    one solve per row in a single call, the norms), each bitwise the per-row
-    product.
+    ||noise_cov^(-1/2) (y - G mean)||_2, under the chain's inverse problem.
+    It is formed for all rows in three stacked steps (residuals, one solve
+    per row in a single call, the norms), each bitwise the per-row product.
     """
-    first = states[0]
+    first, means = chain.initial, chain.means
     d = first.dim
-    scalar_pair = first.n_members == 2 and d == 1
+    scalar_pair = chain.anomalies.shape[1:] == (2, 1)
     header = ["n"] + [f"mean_{i}" for i in range(d)] + ["spread"]
     if scalar_pair:
         header.append("q")
     header.append("misfit")
 
-    # Root mean squared anomaly norm of every state at once.
-    anomalies = np.stack([state.anomalies for state in states])
-    spreads = np.sqrt(np.mean(np.sum(anomalies**2, axis=2), axis=1))
-    q = reduce_to_q(states) if scalar_pair else None
+    # Root mean squared anomaly norm of every iterate at once.
+    spreads = np.sqrt(np.mean(np.sum(chain.anomalies**2, axis=2), axis=1))
+    q = reduce_to_q(chain) if scalar_pair else None
     # Stacked forms that keep each row's bits: a (K, d) @ (d, 1) product, a
     # solve with one right-hand side and a (1, K) @ (K, 1) product per row.
     # means @ G.T, einsum and norm(axis=1) sum in other orders for K >= 2.
-    means = np.stack([state.mean for state in states])
     residuals = first.observation - (first.forward_map @ means[..., None])[..., 0]
     x = np.linalg.solve(sym_sqrt(first.noise_cov), residuals[..., None])[..., 0]
     misfits = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])

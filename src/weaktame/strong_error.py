@@ -138,7 +138,8 @@ def _error_task(
     bounds = [(start - first_row, start - first_row + count) for start, count in units]
     n_ref, h_ref = ref_grid.n_steps, ref_grid.h
     coarsest = 1 << (ref_grid.level - work[0][0])
-    window = max(coarsest, (_CHUNK_NODES // coarsest) * coarsest)
+    # n_ref is whole coarsest cells too, so the clamp only sizes the buffer.
+    window = min(max(coarsest, (_CHUNK_NODES // coarsest) * coarsest), n_ref)
 
     ref_state = np.full(n_rows, np.float64(u0))
     states = np.full((len(work), n_rows), np.float64(u0))

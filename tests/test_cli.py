@@ -1,6 +1,9 @@
 """Driver-level tests: argument handling, CSV/JSON output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,6 +217,36 @@ def test_usage_errors_exit_2(argv, fragment, capsys):
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert fragment in err
+
+
+# cli.main in a child whose address space is capped at 512 MiB, so that a
+# flag's value that outgrows memory fails in seconds, not after filling RAM
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from weaktame import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # argparse builds the level tuple and the grid while it reads the
+        # flag; this used to end in a MemoryError traceback with exit 1
+        ["moments", "--levels", "0..1000000000000"],
+        ["rates", "--eta-grid", "0.1:0.2:1e-300"],
+    ],
+)
+def test_flag_values_too_large_for_memory_exit_2(argv):
+    # one BLAS thread: each thread's buffers count against the cap
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv, "--workers", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: run too large for memory\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

