@@ -22,7 +22,11 @@ anomaly array. _chain is the one step loop; run_chain runs it on replayable
 draws, and enkf_step is its one-step case. The noise terms depend on the
 perturbations alone, so _chain forms them for blocks of steps (each holding
 at most 512 KiB of pairwise differences, or one step's if that is more), and
-_update, the per-step arithmetic, forms only the gain and the two updates.
+each step forms only the gain and the two updates. Finiteness is checked once
+per block, on its new rows, and the ValueError raised is the one of the first
+non-finite iterate. An exactly singular innovation system (for SPD Gamma only
+when h Cpp swamps Gamma in floating point) gives a NaN gain, so it ends the
+chain with that error too.
 """
 
 from __future__ import annotations
@@ -155,15 +159,12 @@ def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
 
 
-def _gain(cpp: np.ndarray, cup: np.ndarray, noise_cov: np.ndarray, h: float) -> np.ndarray:
-    """Kalman-style gain Cup (h Cpp + Gamma)^-1 via linear solve, no inversion."""
-    system = h * cpp + noise_cov
-    if system.shape == (1, 1):
-        return cup / system[0, 0]  # keeps 1-d problems to a single division
-    try:
-        return np.linalg.solve(system, cup.T).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD guard
-        raise ValueError(f"singular innovation system: {exc}") from exc
+# The gufunc np.linalg.solve dispatches to: the same LAPACK gesv, so bitwise
+# the same, without the wrapper's per-call array conversion, type resolution
+# and errstate (timeit on a 2-CPU Xeon, 2 x 2 system with 3 right-hand sides:
+# 2.8 against 9.5 us). Under the step loop's errstate an exactly singular
+# system gives NaN instead of raising, and the finiteness check reports it.
+_solve = np.linalg._umath_linalg.solve
 
 
 # Floats of the (steps, J, J, K) pairwise intermediate that one stacked
@@ -195,38 +196,15 @@ def _noise_terms(
     return noise_mean, sqrt_h * (delta @ sqrt_noise.T)
 
 
-def _update(
-    mean: np.ndarray, anomalies: np.ndarray, noise_mean: np.ndarray, noise_pre: np.ndarray,
-    forward_map: np.ndarray, forward_map_t: np.ndarray, observation: np.ndarray,
-    noise_cov: np.ndarray, h: float, mean_out: np.ndarray, anomalies_out: np.ndarray,
-) -> None:
-    """One perturbed-observations update of raw (mean, anomalies) arrays,
-    written into (mean_out, anomalies_out); noise_mean and noise_pre are one
-    step's rows of _noise_terms.
-
-    The one copy of the step arithmetic: its operation order makes the J = 2
-    reduction bit-exact, so keep it as written. Raises the ValueError that
-    EnsembleState validation would if the new arrays are not finite.
-    """
-    j = anomalies.shape[0]
-    mapped = anomalies @ forward_map_t
-    # Empirical covariances Cpp (K x K) and Cup (d x K), 1/J normalization.
-    cpp = (mapped.T @ mapped) / j
-    cup = (anomalies.T @ mapped) / j
-    gain = _gain(cpp, cup, noise_cov, h)
-
-    innovation = observation - forward_map @ mean
-    np.add(mean + gain @ (h * innovation), gain @ noise_mean, out=mean_out)
-    np.add(anomalies + (-(h * mapped)) @ gain.T, noise_pre @ gain.T, out=anomalies_out)
-    if not np.isfinite(anomalies_out).all():
-        raise ValueError("anomalies must be finite")
-    if not np.isfinite(mean_out).all():
-        raise ValueError("mean must be finite")
-
-
 def _chain(initial: EnsembleState, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(means, anomalies) of ``initial`` and the len(draws) updates that a
-    (steps, J, K) stack of N(0,1) draws drives: the one step loop."""
+    (steps, J, K) stack of N(0,1) draws drives: the one step loop.
+
+    A step's operation order makes the J = 2 reduction bit-exact, so keep it
+    as written. Each noise block is stepped unchecked, then its new rows are
+    checked finite; the first that is not raises the ValueError EnsembleState
+    validation would, for the anomalies before the mean of the same step.
+    """
     n_steps, j, k = draws.shape
     forward_map, observation = initial.forward_map, initial.observation
     forward_map_t, noise_cov, h = forward_map.T, initial.noise_cov, initial.h
@@ -235,17 +213,37 @@ def _chain(initial: EnsembleState, draws: np.ndarray) -> tuple[np.ndarray, np.nd
     means = np.empty((n_steps + 1, initial.dim))
     anomalies = np.empty((n_steps + 1, j, initial.dim))
     means[0], anomalies[0] = initial.mean, initial.anomalies
-    # Overflow ends the chain with _update's ValueError; numpy's warnings
-    # on the way there would only repeat it.
+    # Non-finite values ride to the end of their block, where the check
+    # raises; numpy's warnings on the way there would only repeat it.
     with np.errstate(all="ignore"):
         for start in range(0, n_steps, block):
-            noise_mean, noise_pre = _noise_terms(draws[start:start + block], sqrt_noise, h)
-            for n in range(start, min(start + block, n_steps)):
-                _update(
-                    means[n], anomalies[n], noise_mean[n - start], noise_pre[n - start],
-                    forward_map, forward_map_t, observation, noise_cov, h,
-                    means[n + 1], anomalies[n + 1],
-                )
+            stop = min(start + block, n_steps)
+            noise_mean, noise_pre = _noise_terms(draws[start:stop], sqrt_noise, h)
+            new_means, new_anomalies = means[start + 1:stop + 1], anomalies[start + 1:stop + 1]
+            mean, anomaly = means[start], anomalies[start]
+            for noise_m, noise_p, mean_out, anomaly_out in zip(
+                noise_mean, noise_pre, new_means, new_anomalies
+            ):
+                mapped = anomaly @ forward_map_t
+                # Empirical covariances Cpp (K x K) and Cup (d x K), 1/J
+                # normalization, and the gain Cup (h Cpp + Gamma)^-1.
+                system = h * ((mapped.T @ mapped) / j) + noise_cov
+                cup = (anomaly.T @ mapped) / j
+                if k == 1:
+                    gain = cup / system  # a 1 x 1 system is one division
+                    gain_t = gain.T
+                else:
+                    gain_t = _solve(system, cup.T, signature="dd->d")
+                    gain = gain_t.T
+                innovation = observation - forward_map @ mean
+                np.add(mean + gain @ (h * innovation), gain @ noise_m, out=mean_out)
+                np.add(anomaly + (-(h * mapped)) @ gain_t, noise_p @ gain_t, out=anomaly_out)
+                mean, anomaly = mean_out, anomaly_out
+            finite_anomalies = np.isfinite(new_anomalies).all(axis=(1, 2))
+            finite = finite_anomalies & np.isfinite(new_means).all(axis=1)
+            if not finite.all():
+                field = "mean" if finite_anomalies[finite.argmin()] else "anomalies"
+                raise ValueError(f"{field} must be finite")
     return means, anomalies
 
 

@@ -123,23 +123,17 @@ def enkf_csv(chain: EnsembleChain) -> str:
 
     # Root mean squared anomaly norm of every iterate at once.
     spreads = np.sqrt(np.mean(np.sum(chain.anomalies**2, axis=2), axis=1))
-    q = reduce_to_q(chain) if scalar_pair else None
     # Stacked forms that keep each row's bits: a (K, d) @ (d, 1) product, a
     # solve with one right-hand side and a (1, K) @ (K, 1) product per row.
     # means @ G.T, einsum and norm(axis=1) sum in other orders for K >= 2.
     residuals = first.observation - (first.forward_map @ means[..., None])[..., 0]
     x = np.linalg.solve(sym_sqrt(first.noise_cov), residuals[..., None])[..., 0]
     misfits = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-    body = []
-    for n, (mean, spread, misfit) in enumerate(zip(means, spreads, misfits)):
-        row = [str(n)]
-        row.extend(format_float(m) for m in mean)
-        row.append(format_float(spread))
-        if scalar_pair:
-            row.append(format_float(q[n]))
-        row.append(format_float(misfit))
-        body.append(row)
-    return _table(header, body)
+    q = [reduce_to_q(chain)] if scalar_pair else []
+    table = np.column_stack([means, spreads, *q, misfits]).tolist()
+    # One format string per row gives the bytes format_float gives each value.
+    row = "%d" + ",%.17g" * (len(header) - 1)
+    return "\n".join([",".join(header), *(row % (n, *v) for n, v in enumerate(table))]) + "\n"
 
 
 def identity_json(n_samples: int, max_residual: float, mean_residual: float, tolerance: float) -> str:

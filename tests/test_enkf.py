@@ -418,3 +418,128 @@ def test_enkf_csv_misfit_equals_per_row_solve(k):
         residual = state.observation - state.forward_map @ mean
         expected.append(format_float(np.linalg.norm(np.linalg.solve(root, residual))))
     assert [line.split(",")[column] for line in lines[1:]] == expected
+
+
+def first_error_of_checked_loop(state, draws):
+    # (iterate, message) of the first non-finite iterate when every step is
+    # checked, anomalies before mean, or None if all stay finite
+    sqrt_noise = sym_sqrt(state.noise_cov)
+    mean, anomalies = state.mean, state.anomalies
+    with np.errstate(all="ignore"):
+        for n, perturbations in enumerate(draws, start=1):
+            mean, anomalies = reference_advance(mean, anomalies, perturbations, state, sqrt_noise)
+            if not np.isfinite(anomalies).all():
+                return n, "anomalies must be finite"
+            if not np.isfinite(mean).all():
+                return n, "mean must be finite"
+    return None
+
+
+def run_chain_error(state, draws, monkeypatch):
+    # run_chain's ValueError message when it consumes ``draws``
+    monkeypatch.setattr(enkf, "standard_normals", lambda seed, index, n: draws.ravel().copy())
+    with pytest.raises(ValueError) as info:
+        run_chain(state, len(draws), seed=0)
+    return str(info.value)
+
+
+def poison(perturbations, kind):
+    # Make one step's (J, K) draws overflow in component 0 so that the mean
+    # term (all members equal: zeta_bar overflows, the centering is 0), the
+    # anomaly term (+-huge: zeta_bar is 0, the centering overflows) or both
+    # (inf: zeta_bar is inf, the centering NaN) leave the finite range.
+    column = np.zeros(len(perturbations))
+    if kind == "mean":
+        column[:] = 1e308
+    elif kind == "anomalies":
+        column[:2] = 1e308, -1e308
+    else:
+        column[:] = np.inf
+    perturbations[:, 0] = column
+
+
+NOISE_BLOCKS = ["3 steps", 1, 10**8]
+
+# (step offset, kind) of each poisoned step, and the field that must fail
+POISONED = {
+    "both": ([(0, "both")], "anomalies"),
+    "anomalies": ([(0, "anomalies")], "anomalies"),
+    "mean": ([(0, "mean")], "mean"),
+    "mean, then anomalies": ([(0, "mean"), (1, "anomalies")], "mean"),
+}
+
+
+def set_noise_block(monkeypatch, floats, state):
+    # "3 steps" makes every noise block 3 steps long: iterates 1-3, 4-6, 7-9, ...
+    if floats == "3 steps":
+        floats = 3 * state.n_members**2 * state.obs_dim
+    monkeypatch.setattr(enkf, "_NOISE_BLOCK_FLOATS", floats)
+
+
+@pytest.mark.parametrize("floats", NOISE_BLOCKS)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", list(POISONED))
+@pytest.mark.parametrize("iterate", [1, 7, 8, 9])
+def test_block_check_raises_the_error_of_the_first_non_finite_iterate(
+    iterate, kind, k, floats, monkeypatch
+):
+    # the first non-finite iterate at step 1, and at the first, middle and
+    # last row of the third 3-step block
+    state = scalar_pair_state(1.0) if k == 1 else general_state(3, 2, 2, True)
+    set_noise_block(monkeypatch, floats, state)
+    n_steps = 12
+    draws = standard_normals(4, k, n_steps * state.n_members * k).reshape(n_steps, -1, k)
+    steps, field = POISONED[kind]
+    for offset, what in steps:
+        poison(draws[iterate - 1 + offset], what)
+    expected = first_error_of_checked_loop(state, draws)
+    assert expected == (iterate, f"{field} must be finite")
+    assert run_chain_error(state, draws, monkeypatch) == expected[1]
+
+
+def overflowing_mean_k2():
+    # overflowing_mean's shape with K = d = 2: the innovation overflows in
+    # component 0 at the first step
+    return EnsembleState(
+        mean=np.array([-1.7e308, 0.0]),
+        anomalies=np.array([[1.0, 0.5], [-1.0, -0.5]]),
+        forward_map=np.eye(2),
+        observation=np.array([1.7e308, 0.0]),
+        noise_cov=np.eye(2),
+        h=0.25,
+    )
+
+
+@pytest.mark.parametrize("floats", NOISE_BLOCKS)
+@pytest.mark.parametrize(
+    "make", [overflowing_pair, overflowing_general, overflowing_mean, overflowing_mean_k2]
+)
+def test_overflow_raises_the_error_of_the_checked_loop(make, floats, monkeypatch):
+    state = make()
+    set_noise_block(monkeypatch, floats, state)
+    n_steps = 7
+    draws = standard_normals(1, 0, n_steps * state.n_members * state.obs_dim)
+    draws = draws.reshape(n_steps, state.n_members, state.obs_dim)
+    expected = first_error_of_checked_loop(state, draws)
+    assert expected is not None and expected[0] == 1
+    assert run_chain_error(state, draws, monkeypatch) == expected[1]
+
+
+def test_a_singular_innovation_system_ends_the_chain_with_the_finiteness_error():
+    # mapped rows +-(c, c) make h Cpp = h c^2 [[1, 1], [1, 1]]; with h c^2 =
+    # 1e17 > 2^53 adding Gamma = I rounds away, so the system is exactly
+    # singular. The solve gives NaN, not LinAlgError.
+    state = EnsembleState(
+        mean=np.zeros(2),
+        anomalies=np.array([[1e9, 1e9], [-1e9, -1e9]]),
+        forward_map=np.eye(2),
+        observation=np.zeros(2),
+        noise_cov=np.eye(2),
+        h=0.1,
+    )
+    system = state.h * ((state.anomalies.T @ state.anomalies) / 2) + state.noise_cov
+    assert system[0, 0] == system[0, 1] == system[1, 0] == system[1, 1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(system, np.eye(2))
+    with pytest.raises(ValueError, match="^anomalies must be finite$"):
+        run_chain(state, 5, seed=1)

@@ -7,7 +7,10 @@ Run from the root of a checkout. The base revision is exported with
 ``git archive`` into .bench_build/<commit>/; the change is the working tree.
 Each pair runs ``perfbench/run.py`` once in each checkout with the same
 arguments, and the side that runs first swaps from one pair to the next, so a
-drift of the host's speed over the session charges both sides alike. The
+drift of the host's speed over the session charges both sides alike. Before
+each pair, both checkouts run the workload once, untimed, for WARMUP_SECONDS
+(in the pair's order), so neither timed run is the first after a pause: on
+the EnKF workloads the second run of a pair read lower whatever the code. The
 output file holds the environment line of the runs, every pair's metrics and,
 per workload and metric, each side's median and quartiles and the number of
 pairs the change won (ties count for neither side). Run it again with other
@@ -27,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
 SIDES = ("base", "change")
+WARMUP_SECONDS = 2.0
 
 
 def git(*args: str) -> str:
@@ -134,7 +138,8 @@ def main(argv=None) -> int:
         "change": {"working_tree_of": git("rev-parse", "HEAD"),
                    "uncommitted": bool(git("status", "--porcelain", "--", "src"))},
         "host": {"cpu": cpu_model(), "platform": platform.platform()},
-        "settings": {"seed": args.seed, "seconds": args.seconds, "trace": args.trace},
+        "settings": {"seed": args.seed, "seconds": args.seconds, "trace": args.trace,
+                     "warmup_seconds": WARMUP_SECONDS},
         "workloads": {},
     }
     if args.out.is_file():
@@ -149,6 +154,8 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
+            for side in order:
+                run_once(checkouts[side], workload, args.seed, WARMUP_SECONDS, args.trace)
             for side in order:
                 pair[side] = run_once(
                     checkouts[side], workload, args.seed, args.seconds, args.trace
