@@ -2,9 +2,11 @@
 du = -u^3 dt + u^2 dW and its EnKF origin story.
 
 Every estimator runs one batch engine: ``brownian.increment_block`` draws
-rows of increments, ``schemes.integrate_increments`` advances a scheme along
-them, and ``schemes.interpolant_increments`` carries coarse rows to a finer
-grid.
+rows of increments, the schemes step loop advances a scheme along them
+(``strong_error`` through ``schemes.integrate_increments``, ``moments`` and
+the blowup profile through ``schemes._integrate_blocks``, which steps every
+grid of a batch at once), and ``schemes.interpolant_increments`` carries
+coarse rows to a finer grid.
 
 Submodules:
     coeffs        regularized coefficients and their algebraic identities

@@ -4,7 +4,8 @@ Samples are split into contiguous fixed-size index ranges. Each batch is a
 pure function of (seed, start index, count), batches are merged strictly in
 index order, and any randomness beyond the sample streams (bootstrap draws)
 lives in the parent process. Aggregates are therefore byte-identical for any
-worker count.
+worker count. Both estimators' bootstraps run through ``bootstrap``, which
+draws its resamples a few at a time, and report ``half_width``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ import numpy as np
 
 from .brownian import _stream_key
 
-__all__ = ["batch_ranges", "bootstrap_rng", "run_batches"]
+__all__ = ["batch_ranges", "bootstrap", "half_width", "run_batches"]
+
+BOOTSTRAP_RESAMPLES = 200
+# Resamples drawn and reduced per numpy call: a block holds this many (n,)
+# rows of indices, and the statistic gathers as many copies of its data.
+_BOOTSTRAP_CHUNK = 10
 
 
 def batch_ranges(n_samples: int, batch_size: int) -> list[tuple[int, int]]:
@@ -31,9 +37,27 @@ def batch_ranges(n_samples: int, batch_size: int) -> list[tuple[int, int]]:
     ]
 
 
-def bootstrap_rng(seed: int, tag: int) -> np.random.Generator:
-    """Generator for bootstrap draws in the parent, keyed by (seed, tag)."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag)))
+def bootstrap(n: int, seed: int, tag: int, statistic: Callable) -> np.ndarray:
+    """``statistic`` of each of BOOTSTRAP_RESAMPLES resamples of n items.
+
+    Resample b takes the items in row b of one (BOOTSTRAP_RESAMPLES, n) draw
+    from [0, n) on the Philox stream keyed by (seed, tag). The rows are drawn
+    _BOOTSTRAP_CHUNK at a time (the same integers), and ``statistic`` maps
+    each such (chunk, n) block to one row per resample.
+    """
+    rng = np.random.Generator(np.random.Philox(key=_stream_key(seed, tag)))
+    starts = range(0, BOOTSTRAP_RESAMPLES, _BOOTSTRAP_CHUNK)
+    sizes = (min(_BOOTSTRAP_CHUNK, BOOTSTRAP_RESAMPLES - b) for b in starts)
+    with np.errstate(over="ignore"):  # resamples of huge values may sum to inf
+        return np.concatenate([statistic(rng.integers(0, n, size=(c, n))) for c in sizes])
+
+
+def half_width(resampled: np.ndarray) -> np.ndarray:
+    """Half the width of the 95% percentile interval of each column of
+    ``resampled`` (of the whole, if it is 1-d); inf samples make it inf or NaN."""
+    with np.errstate(invalid="ignore"):
+        lo, hi = np.percentile(resampled, [2.5, 97.5], axis=0)
+        return (hi - lo) / 2.0
 
 
 def run_batches(

@@ -20,13 +20,13 @@ for states whose anomalies are supplied directly.
 A chain is one EnsembleChain: its iterates are the rows of one mean and one
 anomaly array. _chain is the one step loop; run_chain runs it on replayable
 draws, and enkf_step is its one-step case. The noise terms depend on the
-perturbations alone, so _chain forms them for blocks of steps (each holding
-at most 512 KiB of pairwise differences, or one step's if that is more), and
-each step forms only the gain and the two updates. Finiteness is checked once
-per block, on its new rows, and the ValueError raised is the one of the first
-non-finite iterate. An exactly singular innovation system (for SPD Gamma only
-when h Cpp swamps Gamma in floating point) gives a NaN gain, so it ends the
-chain with that error too.
+perturbations alone, so _chain forms them for blocks of steps (1, 2, 4, ...
+steps, up to 512 KiB of pairwise differences, or one step's if that is more),
+and each step forms only the gain and the two updates. Finiteness is checked
+once per block, on its new rows, and the ValueError raised is the one of the
+first non-finite iterate. An exactly singular innovation system (for SPD
+Gamma only when h Cpp swamps Gamma in floating point) gives a NaN gain, so it
+ends the chain with that error too.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ _solve = np.linalg._umath_linalg.solve
 
 
 # Floats of the (steps, J, J, K) pairwise intermediate that one stacked
-# noise pass may hold (512 KiB): _chain forms the noise terms of
+# noise pass may hold (512 KiB): _chain forms the noise terms of at most
 # max(1, _NOISE_BLOCK_FLOATS // (J * J * K)) steps at a time.
 _NOISE_BLOCK_FLOATS = 1 << 16
 
@@ -209,15 +209,19 @@ def _chain(initial: EnsembleState, draws: np.ndarray) -> tuple[np.ndarray, np.nd
     forward_map, observation = initial.forward_map, initial.observation
     forward_map_t, noise_cov, h = forward_map.T, initial.noise_cov, initial.h
     sqrt_noise = sym_sqrt(noise_cov)
-    block = max(1, _NOISE_BLOCK_FLOATS // (j * j * k))
+    cap = max(1, _NOISE_BLOCK_FLOATS // (j * j * k))
     means = np.empty((n_steps + 1, initial.dim))
     anomalies = np.empty((n_steps + 1, j, initial.dim))
     means[0], anomalies[0] = initial.mean, initial.anomalies
     # Non-finite values ride to the end of their block, where the check
-    # raises; numpy's warnings on the way there would only repeat it.
+    # raises; numpy's warnings on the way there would only repeat it. Blocks
+    # start at one step and double up to the cap, so a chain that leaves the
+    # finite range is stepped past it by no more steps than it took before.
+    start, block = 0, 1
     with np.errstate(all="ignore"):
-        for start in range(0, n_steps, block):
+        while start < n_steps:
             stop = min(start + block, n_steps)
+            block = min(2 * block, cap)
             noise_mean, noise_pre = _noise_terms(draws[start:stop], sqrt_noise, h)
             new_means, new_anomalies = means[start + 1:stop + 1], anomalies[start + 1:stop + 1]
             mean, anomaly = means[start], anomalies[start]
@@ -244,6 +248,7 @@ def _chain(initial: EnsembleState, draws: np.ndarray) -> tuple[np.ndarray, np.nd
             if not finite.all():
                 field = "mean" if finite_anomalies[finite.argmin()] else "anomalies"
                 raise ValueError(f"{field} must be finite")
+            start = stop
     return means, anomalies
 
 

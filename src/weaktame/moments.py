@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._batching import batch_ranges, bootstrap_rng, run_batches
+from ._batching import batch_ranges, bootstrap, half_width, run_batches
 from .brownian import TimeGrid, increment_block
 from .schemes import (
     NAIVE_EM,
@@ -33,12 +33,8 @@ __all__ = [
 ]
 
 MOMENT_BATCH_SIZE = 512
-BOOTSTRAP_RESAMPLES = 200
 _BOOTSTRAP_TAG = 0xB007
 _HERMITE_NODES = 64  # Gauss-Hermite nodes of the second-moment recursion check
-# Resamples summed per numpy call; the gathered block is this many copies of
-# the stacked batch sums.
-_BOOTSTRAP_CHUNK = 10
 
 
 @dataclass(frozen=True)
@@ -60,27 +56,20 @@ class MomentReport:
     sup_of_mean_ci: float
 
 
-def _valid_mask(blow: np.ndarray, n_nodes: int) -> np.ndarray:
-    nodes = np.arange(n_nodes, dtype=np.int64)
-    return (blow[:, None] < 0) | (nodes[None, :] < blow[:, None])
-
-
 def _moment_batch(h: float, values: np.ndarray, blow: np.ndarray, ps: tuple[float, ...]):
     """Pure per-batch accumulation of one grid's integrated rows (``values``
-    is overwritten); everything downstream is an ordered merge."""
+    is overwritten); everything downstream is an ordered merge.
+
+    Each blown row is zeroed from its blow-up node on: |0|^p and the
+    integral term at 0 are exactly the 0.0 that saturated nodes contribute.
+    Node k counts the rows not blown up at or before k.
+    """
     n_rows, n_nodes = values.shape
-    if (blow < 0).all():
-        absv = np.abs(values, out=values)
-        node_count = np.full(n_nodes, n_rows, dtype=np.int64)
-        blow_count = 0
-    else:
-        valid = _valid_mask(blow, n_nodes)
-        # Zero each row from its blow-up on: |0|^p and the integral term at 0
-        # are exactly the 0.0 that saturated nodes contribute.
-        absv = np.where(valid, values, 0.0)
-        np.abs(absv, out=absv)
-        node_count = valid.sum(axis=0).astype(np.int64)
-        blow_count = int((blow >= 0).sum())
+    blown = np.flatnonzero(blow >= 0)
+    for row in blown:
+        values[row, blow[row] :] = 0.0
+    node_count = n_rows - np.cumsum(np.bincount(blow[blown], minlength=n_nodes))
+    absv = np.abs(values, out=values)
     damping = absv * absv  # 1 + h*|v|^2, formed in place
     damping *= h
     damping += 1.0
@@ -99,7 +88,7 @@ def _moment_batch(h: float, values: np.ndarray, blow: np.ndarray, ps: tuple[floa
             np.power(damping, 2.0 / (p + 2.0), out=work)
             np.divide(absv, work, out=work)
             integral_sums[i] = float(h * np.power(work, p + 2.0, out=work).sum())
-    return node_sums, node_count, sup_sums, integral_sums, blow_count
+    return node_sums, node_count, sup_sums, integral_sums, len(blown)
 
 
 def _endpoint_batch(h: float, values: np.ndarray, blow: np.ndarray) -> np.ndarray:
@@ -133,27 +122,16 @@ def _every_grid_batch(
     return out[::-1]
 
 
-def _bootstrap(
+def _batch_half_width(
     batch_sums: np.ndarray, batch_counts: np.ndarray, seed: int, tag: int, statistic
 ) -> np.ndarray:
-    """``statistic(sums, counts)`` of every batch-bootstrap resample.
+    """95% batch-bootstrap half-width of ``statistic(sums, counts)``; each
+    resample sums the batches it draws, in draw order."""
 
-    Resample b sums the batches ``draws[b]`` picks, in draw order, as one
-    axis-1 sum over a block of ``_BOOTSTRAP_CHUNK`` resamples at a time;
-    ``statistic`` maps the (chunk, ...) sums and (chunk, nodes) counts to one
-    row per resample.
-    """
-    n_batches = batch_counts.shape[0]
-    rng = bootstrap_rng(seed, tag)
-    draws = rng.integers(0, n_batches, size=(BOOTSTRAP_RESAMPLES, n_batches))
-    chunks = np.split(draws, range(_BOOTSTRAP_CHUNK, len(draws), _BOOTSTRAP_CHUNK))
-    with np.errstate(over="ignore"):  # resamples of huge moments may sum to inf
-        return np.concatenate(
-            [
-                statistic(batch_sums[take].sum(axis=1), batch_counts[take].sum(axis=1))
-                for take in chunks
-            ]
-        )
+    def resample(take):
+        return statistic(batch_sums[take].sum(axis=1), batch_counts[take].sum(axis=1))
+
+    return half_width(bootstrap(len(batch_counts), seed, tag, resample))
 
 
 def _sup_of_mean(node_sums: np.ndarray, node_count: np.ndarray) -> np.ndarray:
@@ -209,26 +187,20 @@ def _merge_moments(results, ps, n_samples: int, seed: int) -> list[MomentReport]
     blow_total = sum(r[4] for r in results)
 
     stats = _sup_of_mean(batch_node_sums.sum(axis=0), batch_node_count.sum(axis=0))
-    resampled = _bootstrap(
-        batch_node_sums, batch_node_count, seed, _BOOTSTRAP_TAG, _sup_of_mean
-    )  # (BOOTSTRAP_RESAMPLES, P)
-
-    reports = []
-    for i, p in enumerate(ps):
-        with np.errstate(invalid="ignore"):  # inf moments: the half-width is NaN
-            lo, hi = np.percentile(resampled[:, i], [2.5, 97.5])
-        reports.append(
-            MomentReport(
-                p=p,
-                sup_of_mean=float(stats[i]),
-                mean_of_sup=float(sup_sums[i] / n_samples),
-                integral_term=float(integral_sums[i] / n_samples),
-                blowup_fraction=blow_total / n_samples,
-                n_samples=n_samples,
-                sup_of_mean_ci=float((hi - lo) / 2.0),
-            )
+    # inf moments give a NaN half-width
+    ci = _batch_half_width(batch_node_sums, batch_node_count, seed, _BOOTSTRAP_TAG, _sup_of_mean)
+    return [
+        MomentReport(
+            p=p,
+            sup_of_mean=float(stats[i]),
+            mean_of_sup=float(sup_sums[i] / n_samples),
+            integral_term=float(integral_sums[i] / n_samples),
+            blowup_fraction=blow_total / n_samples,
+            n_samples=n_samples,
+            sup_of_mean_ci=float(ci[i]),
         )
-    return reports
+        for i, p in enumerate(ps)
+    ]
 
 
 def moment_tables(
@@ -285,9 +257,7 @@ def node_second_moments(
     if np.any(counts == 0):
         raise ValueError("every node needs at least one alive sample")
     means = sums / counts
-    resampled = _bootstrap(batch_sums, batch_counts, seed, _BOOTSTRAP_TAG + 1, np.divide)
-    lo, hi = np.percentile(resampled, [2.5, 97.5], axis=0)
-    return means, (hi - lo) / 2.0
+    return means, _batch_half_width(batch_sums, batch_counts, seed, _BOOTSTRAP_TAG + 1, np.divide)
 
 
 def second_moment_recursion_check(h: float, u: float) -> float:

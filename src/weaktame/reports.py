@@ -3,7 +3,9 @@
 Writers return complete strings (LF line endings, floats at 17 significant
 digits) rather than touching files: the determinism contract is stated over
 output bytes, and string equality keeps it testable without temp files.
-Column sets are fixed per subcommand and documented in the README.
+Every CSV writer goes through _table, with one %-format string per row
+(``%.17g`` for floats, ``%d`` for counts, ``%s`` for labels). Column sets are
+fixed per subcommand and documented in the README.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .enkf import EnsembleChain, reduce_to_q, sym_sqrt
-from .strong_error import RateFit
 
 __all__ = [
-    "format_float",
     "rates_csv",
     "strong_error_csv",
-    "rate_fit_dict",
     "rate_fits_json",
     "moments_csv",
     "blowup_csv",
@@ -29,79 +28,55 @@ __all__ = [
 ]
 
 
-def format_float(value: float) -> str:
-    """17 significant digits round-trip any float64 exactly."""
-    return "%.17g" % float(value)
-
-
-def _table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _table(header: Sequence[str], row_format: str, rows: Iterable[Sequence]) -> str:
+    """The header line, then ``row_format % row`` per row. Floats go through
+    ``%.17g``, which round-trips any float64 exactly."""
+    return "\n".join([",".join(header), *(row_format % tuple(row) for row in rows)]) + "\n"
 
 
 def rates_csv(rows) -> str:
     """rows: (grid value, exponent, formula label) triples."""
-    body = ((format_float(x), format_float(e), str(label)) for x, e, label in rows)
-    return _table(("alpha_or_eta", "exponent", "source_formula"), body)
+    return _table(("alpha_or_eta", "exponent", "source_formula"), "%.17g,%.17g,%s", rows)
 
 
 def strong_error_csv(result) -> str:
     """One row per level; accepts StrongErrorResult or any ErrorStats iterable."""
     body = (
-        (
-            str(s.level),
-            format_float(s.h),
-            format_float(s.eta),
-            format_float(s.alpha),
-            format_float(s.eta_error),
-            format_float(s.alpha_error),
-            format_float(s.ci_halfwidth),
-            str(s.n_samples),
-            str(s.blowup_count),
-        )
+        (s.level, s.h, s.eta, s.alpha, s.eta_error, s.alpha_error, s.ci_halfwidth,
+         s.n_samples, s.blowup_count)
         for s in result
     )
     header = ("level", "h", "eta", "alpha", "eta_error", "alpha_error", "ci", "M", "blowup_count")
-    return _table(header, body)
-
-
-def rate_fit_dict(fit: RateFit) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r2": fit.r_squared,
-        "theoretical": fit.theoretical_exponent,
-    }
+    return _table(header, "%d" + ",%.17g" * 6 + ",%d,%d", body)
 
 
 def rate_fits_json(fits: dict) -> str:
-    return json.dumps({name: rate_fit_dict(f) for name, f in fits.items()}, indent=2) + "\n"
+    body = {
+        name: {
+            "slope": f.slope,
+            "intercept": f.intercept,
+            "r2": f.r_squared,
+            "theoretical": f.theoretical_exponent,
+        }
+        for name, f in fits.items()
+    }
+    return json.dumps(body, indent=2) + "\n"
 
 
 def moments_csv(rows) -> str:
     """rows: (scheme label, h, MomentReport) triples, one CSV row each."""
     body = (
-        (
-            str(label),
-            format_float(h),
-            format_float(r.p),
-            format_float(r.sup_of_mean),
-            format_float(r.mean_of_sup),
-            format_float(r.integral_term),
-            format_float(r.blowup_fraction),
-            str(r.n_samples),
-        )
+        (label, h, r.p, r.sup_of_mean, r.mean_of_sup, r.integral_term,
+         r.blowup_fraction, r.n_samples)
         for label, h, r in rows
     )
     header = ("scheme", "h", "p", "sup_of_mean", "mean_of_sup", "integral_term", "blowup_fraction", "M")
-    return _table(header, body)
+    return _table(header, "%s" + ",%.17g" * 6 + ",%d", body)
 
 
 def blowup_csv(rows) -> str:
     """rows: (h, median |endpoint|, fraction exceeding 1e10) triples."""
-    body = ((format_float(h), format_float(med), format_float(frac)) for h, med, frac in rows)
-    return _table(("h", "median_abs_endpoint", "exceed_fraction"), body)
+    return _table(("h", "median_abs_endpoint", "exceed_fraction"), "%.17g,%.17g,%.17g", rows)
 
 
 def enkf_csv(chain: EnsembleChain) -> str:
@@ -131,22 +106,16 @@ def enkf_csv(chain: EnsembleChain) -> str:
     misfits = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
     q = [reduce_to_q(chain)] if scalar_pair else []
     table = np.column_stack([means, spreads, *q, misfits]).tolist()
-    # One format string per row gives the bytes format_float gives each value.
-    row = "%d" + ",%.17g" * (len(header) - 1)
-    return "\n".join([",".join(header), *(row % (n, *v) for n, v in enumerate(table))]) + "\n"
+    rows = ((n, *v) for n, v in enumerate(table))
+    return _table(header, "%d" + ",%.17g" * (len(header) - 1), rows)
 
 
 def identity_json(n_samples: int, max_residual: float, mean_residual: float, tolerance: float) -> str:
-    return (
-        json.dumps(
-            {
-                "samples": int(n_samples),
-                "max_residual": float(max_residual),
-                "mean_residual": float(mean_residual),
-                "tolerance": float(tolerance),
-                "passed": bool(max_residual < tolerance),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    body = {
+        "samples": int(n_samples),
+        "max_residual": float(max_residual),
+        "mean_residual": float(mean_residual),
+        "tolerance": float(tolerance),
+        "passed": bool(max_residual < tolerance),
+    }
+    return json.dumps(body, indent=2) + "\n"

@@ -123,6 +123,13 @@ def _raw_update(variant: str, eps: float | None, u, h, dw):
     return u + incr / np.maximum(1.0, np.abs(incr))
 
 
+def _saturate(values: np.ndarray, sign_source: np.ndarray) -> np.ndarray:
+    """``values`` with each entry out of range set to sign * SATURATION_LIMIT,
+    a NaN's sign taken from ``sign_source``; entries in range keep their bits."""
+    clamped = np.clip(values, -SATURATION_LIMIT, SATURATION_LIMIT)
+    return np.where(np.isnan(values), np.copysign(SATURATION_LIMIT, sign_source), clamped)
+
+
 def integrate_increments(
     spec: SchemeSpec, h: float, increments: np.ndarray, u0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +245,7 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
                         ok = np.abs(w) <= SATURATION_LIMIT  # False for NaN and inf too
                         if not ok.all():
                             newly = ~ok & live
-                            clamped = np.clip(w, -SATURATION_LIMIT, SATURATION_LIMIT)
-                            clamped = np.where(
-                                np.isnan(w), np.copysign(SATURATION_LIMIT, v), clamped
-                            )
-                            w = np.where(newly, clamped, w)
+                            w = _saturate(w, v)  # rows dead before take v below
                             first_blow[newly] = n + j + 1
                             if any_dead:
                                 w = np.where(live, w, v)
@@ -358,15 +361,6 @@ def interpolant_increments(
             & (values.min(axis=1) >= -SATURATION_LIMIT)
         )
         if saturated_row.any():
-            ok = np.abs(values) <= SATURATION_LIMIT
-            clamped = np.clip(values, -SATURATION_LIMIT, SATURATION_LIMIT)
-            sign_source = np.repeat(
-                np.concatenate([v_left, coarse_values[:, -1:]], axis=1),
-                [factor] * nc + [1],
-                axis=1,
-            )
-            clamped = np.where(
-                np.isnan(values), np.copysign(SATURATION_LIMIT, sign_source), clamped
-            )
-            values = np.where(ok, values, clamped)
+            # A NaN takes the sign of its cell's left coarse node.
+            values = _saturate(values, coarse_values[:, np.arange(nf + 1) // factor])
     return values, saturated_row

@@ -12,8 +12,13 @@ from weaktame.enkf import (
     run_chain,
     sym_sqrt,
 )
-from weaktame.reports import enkf_csv, format_float
+from weaktame.reports import enkf_csv
 from weaktame.schemes import WEAK_TAMED_ENKF, integrate_increments
+
+
+def format_float(x):
+    # 17 significant digits round-trip any float64
+    return "%.17g" % float(x)
 
 
 def scalar_pair_state(q0, mean0=0.0, h=0.25):
@@ -470,7 +475,7 @@ POISONED = {
 
 
 def set_noise_block(monkeypatch, floats, state):
-    # "3 steps" makes every noise block 3 steps long: iterates 1-3, 4-6, 7-9, ...
+    # "3 steps" caps the noise blocks at 3 steps: iterates 1, 2-3, 4-6, 7-9, ...
     if floats == "3 steps":
         floats = 3 * state.n_members**2 * state.obs_dim
     monkeypatch.setattr(enkf, "_NOISE_BLOCK_FLOATS", floats)
@@ -484,7 +489,7 @@ def test_block_check_raises_the_error_of_the_first_non_finite_iterate(
     iterate, kind, k, floats, monkeypatch
 ):
     # the first non-finite iterate at step 1, and at the first, middle and
-    # last row of the third 3-step block
+    # last row of the 3-step block 7-9
     state = scalar_pair_state(1.0) if k == 1 else general_state(3, 2, 2, True)
     set_noise_block(monkeypatch, floats, state)
     n_steps = 12
@@ -523,6 +528,27 @@ def test_overflow_raises_the_error_of_the_checked_loop(make, floats, monkeypatch
     expected = first_error_of_checked_loop(state, draws)
     assert expected is not None and expected[0] == 1
     assert run_chain_error(state, draws, monkeypatch) == expected[1]
+
+
+def test_a_chain_that_leaves_the_range_at_step_1_stops_within_two_steps(monkeypatch):
+    # 16384 steps are one noise block at the J = 2, K = 1 cap; the chain is
+    # non-finite at step 1, and blocks of 1, 2, 4, ... steps stop it there
+    state = overflowing_pair()
+    n_steps = 16384
+    assert enkf._NOISE_BLOCK_FLOATS // (2 * 2 * 1) == n_steps
+    draws = standard_normals(1, 0, n_steps * 2).reshape(n_steps, 2, 1)
+    expected = first_error_of_checked_loop(state, draws)
+    assert expected == (1, "anomalies must be finite")
+    rows = []
+    noise_terms = enkf._noise_terms
+
+    def counting_noise_terms(block, sqrt_noise, h):
+        rows.append(len(block))
+        return noise_terms(block, sqrt_noise, h)
+
+    monkeypatch.setattr(enkf, "_noise_terms", counting_noise_terms)
+    assert run_chain_error(state, draws, monkeypatch) == expected[1]
+    assert 1 <= sum(rows) <= 2
 
 
 def test_a_singular_innovation_system_ends_the_chain_with_the_finiteness_error():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
-from weaktame import cli, enkf, moments, schemes, strong_error
+from weaktame import _batching, cli, enkf, schemes, strong_error
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,7 +104,7 @@ TUNING_CONSTANTS = {
     (strong_error, "_CHUNK_NODES"): (1, 600, 10**8),
     (strong_error, "_MAX_TASK_UNITS"): (1, 3, 1000),
     (enkf, "_NOISE_BLOCK_FLOATS"): (1, 777, 10**8),
-    (moments, "_BOOTSTRAP_CHUNK"): (1, 7, 1000),
+    (_batching, "_BOOTSTRAP_CHUNK"): (1, 7, 1000),
 }
 
 TUNED_RUNS = [

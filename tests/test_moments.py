@@ -15,6 +15,7 @@ from weaktame.moments import (
     second_moment_recursion_check,
 )
 from weaktame.schemes import (
+    DRIFT_TAMED,
     NAIVE_EM,
     SATURATION_LIMIT,
     WEAK_TAMED_ENKF,
@@ -228,29 +229,48 @@ def reference_node_second_moments(spec, grid, n_samples, seed, u0):
 
 
 BOOTSTRAP_CASES = [
-    # (scheme, u0, samples): 1, 2 and 9 batches of at most 512 rows
-    (spec, u0, n)
+    # (scheme, u0, samples, level): 1, 2 and 9 batches of at most 512 rows
+    (spec, u0, n, 5)
     for spec, u0 in [(WEAK_TAMED_ENKF, 3.0), (NAIVE_EM, 3.0)]
     for n in (512, 1000, 4400)
+] + [
+    # Blow-ups among the 1000 rows at seed 11: every row at node 1; 83 % at
+    # node 1, the last node of a one-step grid; 20 % at nodes 6 to 8, 86
+    # rows at the last; every row, at nodes 5 to 8, none alive at the last.
+    (NAIVE_EM, 1e51, 1000, 5),
+    (DRIFT_TAMED, 2.2e75, 1000, 0),
+    (NAIVE_EM, 3.0, 1000, 3),
+    (NAIVE_EM, 10.0, 1000, 3),
 ]
 
 
+def bootstrap_case_id(spec, u0, n_samples, level):
+    case = f"{spec.label}-{n_samples}"
+    return case if (u0, level) == (3.0, 5) else f"{case}-u0={u0:g}-level{level}"
+
+
 @pytest.mark.parametrize(
-    "spec, u0, n_samples",
+    "spec, u0, n_samples, level",
     BOOTSTRAP_CASES,
-    ids=[f"{c[0].label}-{c[2]}" for c in BOOTSTRAP_CASES],
+    ids=[bootstrap_case_id(*c) for c in BOOTSTRAP_CASES],
 )
-def test_batched_bootstrap_matches_the_per_resample_loop(spec, u0, n_samples):
-    grid = TimeGrid(1.0, 5, 1)
+def test_batched_bootstrap_matches_the_per_resample_loop(spec, u0, n_samples, level):
+    grid = TimeGrid(1.0, level, 1)
     seed = 11
     ps = (1.0, 2.0, 2.5)
     got = moment_table(spec, grid, ps, n_samples, seed, u0=u0)
     want = reference_moment_table(spec, grid, ps, n_samples, seed, u0)
     # repr compares every field, sup_of_mean_ci included, NaN and -0.0 too
     assert repr(got) == repr(want)
-    if spec is NAIVE_EM:
+    if spec is not WEAK_TAMED_ENKF:
         assert got[0].blowup_fraction > 0.0
 
+    counts = sum(r[1] for r in reference_batches(spec, grid, n_samples, seed, u0, (2.0,)))
+    if not counts.all():
+        # a node no row reaches has no second moment
+        with pytest.raises(ValueError, match="at least one alive sample"):
+            node_second_moments(spec, grid, n_samples, seed, u0=u0)
+        return
     means, half_widths = node_second_moments(spec, grid, n_samples, seed, u0=u0)
     want_means, want_half_widths = reference_node_second_moments(spec, grid, n_samples, seed, u0)
     assert np.array_equal(means, want_means)

@@ -236,6 +236,18 @@ def test_interpolant_inherits_coarse_blowup():
     assert np.all(np.abs(interp[0, 2 * blow[0] :]) == SATURATION_LIMIT)
 
 
+@pytest.mark.parametrize("factor", [2, 8])  # both interpolant branches
+def test_interpolant_nan_takes_the_sign_of_its_cells_left_coarse_node(factor):
+    coarse = np.array([[1.0, -1.0, 2.0]])
+    fine = np.full((1, 2 * factor), 0.1)
+    fine[0, factor] = np.nan  # the second cell's first fine step
+    interp, saturated = interpolant_increments(NAIVE_EM, coarse, 1.0, fine, 1.0 / factor)
+    assert saturated[0]
+    assert np.isfinite(interp[0, : factor + 1]).all() and interp[0, factor] == -1.0
+    assert np.all(interp[0, factor + 1 : 2 * factor] == -SATURATION_LIMIT)
+    assert interp[0, 2 * factor] == 2.0
+
+
 def stepwise_integrate(spec, h, increments, u0):
     """The step loop with a range check after every step, as a reference for
     the chunked check in integrate_increments."""

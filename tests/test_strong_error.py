@@ -329,6 +329,21 @@ def test_window_is_clamped_to_the_reference_grid(monkeypatch):
     assert huge_peak < 256 * 1025 * 8
 
 
+def test_bootstrap_memory_stays_far_below_one_resample_block():
+    # 200 resamples of 20,000 values drawn as one (200, M) index array and
+    # gathered in one (200, M) block would hold 64 MB; drawn and reduced
+    # _BOOTSTRAP_CHUNK rows at a time, about 3.2 MB
+    values = np.random.default_rng(0).random(20_000)
+    tracemalloc.start()
+    try:
+        half_width = strong_error._bootstrap_ci_log2(values, 0.5, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert half_width > 0.0
+    assert peak < 8 * 2**20
+
+
 def make_stats(errors_eta, errors_alpha, first_level=2):
     return [
         ErrorStats(

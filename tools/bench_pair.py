@@ -13,8 +13,9 @@ each pair, both checkouts run the workload once, untimed, for WARMUP_SECONDS
 the EnKF workloads the second run of a pair read lower whatever the code. The
 output file holds the environment line of the runs, every pair's metrics and,
 per workload and metric, each side's median and quartiles and the number of
-pairs the change won (ties count for neither side). Run it again with other
-workloads and the same base, seed, seconds and trace to add them to the file.
+pairs the change won (ties count for neither side); it is rewritten after
+every pair. Run it again with other workloads and the same base, seed,
+seconds and trace to add them to the file.
 """
 
 from __future__ import annotations
@@ -163,9 +164,11 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr, flush=True)
             pairs.append(pair)
-        record.setdefault("environment", pairs[0]["base"]["environment"])
-        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
-        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+            # Written after every pair, so a run cut short keeps what it measured.
+            record.setdefault("environment", pairs[0]["base"]["environment"])
+            summary = summarize(pairs, better)
+            record["workloads"][workload] = {"pairs": pairs, "summary": summary}
+            args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
