@@ -126,10 +126,12 @@ def _need(config: ExperimentConfig, *names: str) -> None:
 
 
 def _check_u0(u0: float) -> None:
-    # The schemes form u*u; once that overflows, the tamed gain becomes
-    # inf/inf = NaN and the run ends in a reference blow-up or inf moments.
-    if not math.isfinite(u0 * u0):
-        raise UsageError(f"u0 must have a finite square (|u0| < 1.34e154), got {u0!r}")
+    # The step loop checks the range from node 1 on, so a u0 beyond the
+    # saturation sentinel would be reported as a node; in range, u0*u0 is
+    # finite too.
+    limit = schemes.SATURATION_LIMIT
+    if not abs(u0) <= limit:
+        raise UsageError(f"u0 must lie in the range |u0| <= {limit:g}, got {u0!r}")
 
 
 def _scheme_from_config(config: ExperimentConfig) -> schemes.SchemeSpec:
@@ -261,6 +263,7 @@ def _run_moments(config: ExperimentConfig) -> int:
 
 def _run_blowup(config: ExperimentConfig) -> int:
     _need(config, "h_values", "n_samples", "horizon", "u0")
+    _check_u0(config.u0)
     table = moments.em_blowup_profile(
         config.h_values,
         config.u0,

@@ -11,14 +11,13 @@ that advances a batch of increment rows, one step for all rows at a time:
 
 The weak-tamed scheme and regularized_em(eps=h) execute the same kernel, so
 their trajectories agree bit for bit. Non-finite or astronomically large
-values are recorded as blow-ups and saturated, never raised. While every row
-stays in range, the step loop checks the range once per chunk of steps (1,
-2, 4, ... up to _RANGE_CHUNK), on the chunk's max and min (which NaN fails
-too). The first chunk that fails is redone from its start, and every step
-after it is taken with a check per step, so the values are those of a check
-per step. One loop steps several blocks of rows, each with its own h and
-step count, at once (_integrate_blocks); integrate_increments is its
-one-block case.
+values are recorded as blow-ups and saturated, never raised. The step loop
+takes each step once, unchecked, and checks the range once per chunk of up
+to _RANGE_CHUNK steps, on the chunk's max and min (which NaN fails too). A
+row that left the range is saturated at its first node out of range and
+frozen there, so the values are bitwise those of a check per step. One loop
+steps several blocks of rows, each with its own h and step count, at once
+(_integrate_blocks); integrate_increments is its one-block case.
 """
 
 from __future__ import annotations
@@ -42,10 +41,7 @@ __all__ = [
 ]
 
 SATURATION_LIMIT = 1e150
-# Longest run of steps between range checks while no row has left the range.
-# A loop's chunks start at one step and double up to this, so the chunk that
-# first leaves the range, redone step by step, is no longer than the steps
-# taken up to the one that left it.
+# Most steps in a chunk of the step loop, and so between two range checks.
 _RANGE_CHUNK = 64
 # Bytes of each time-major scratch array of the step loop (increments and
 # values): a chunk holds at most this many, however many rows are stacked,
@@ -156,8 +152,8 @@ def _checked_block(h, increments, u0):
     )
     if u0_row.shape != (n_batch,):
         raise ValueError("u0 must be scalar or one value per batch row")
-    if not np.all(np.isfinite(u0_row)):
-        raise ValueError("u0 must be finite")
+    if not np.all(np.abs(u0_row) <= SATURATION_LIMIT):
+        raise ValueError(f"u0 must lie in the range |u0| <= {SATURATION_LIMIT:g}")
     return h, increments, u0_row
 
 
@@ -167,11 +163,15 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
 
     Iteration k takes step k of every block that still has one. The blocks
     are stacked in decreasing step count, so the rows still running are a
-    prefix of one state vector, with a per-row h. Every kernel acts per row,
-    and the range check and freezing too, so each block's values and blow are
-    bitwise those of its own call. Steps run in time-major chunks of at most
-    _CHUNK_BYTES per scratch array; each chunk's increments are transposed in
-    from, and its values out to, every block's row-major arrays.
+    prefix of one state vector, with a per-row h. Steps run unchecked in
+    time-major chunks of at most _RANGE_CHUNK steps and _CHUNK_BYTES per
+    scratch array; each chunk's increments are transposed in from, and its
+    values out to, every block's row-major arrays. Before the values go out,
+    rows frozen in an earlier chunk are set back to their frozen value, and a
+    row that left the range in this chunk is saturated at its first node out
+    of range and frozen from there. Every kernel acts per row, so a row's
+    values up to that node, the saturated value and each block's blow are
+    bitwise those of a check after every step of its own call.
     """
     checked = [_checked_block(*block) for block in blocks]
     order = sorted(range(len(checked)), key=lambda i: -checked[i][1].shape[1])
@@ -186,7 +186,8 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
         out[:, 0] = u0
     v = np.concatenate(u0s)
     blow = np.full(n_rows, -1, dtype=np.int64)
-    alive = np.ones(n_rows, dtype=bool)
+    # rows that left the range in an earlier chunk, and the values they froze at
+    frozen, frozen_at = np.empty(0, dtype=np.intp), np.empty(0)
     variant = spec.variant
     eps = spec.epsilon
     n_max = steps[0] if n_rows else 0
@@ -212,53 +213,36 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
             while m and steps[m - 1] <= n:
                 m -= 1
 
-    n, span, unchecked, any_dead = 0, 1, True, False
     with np.errstate(all="ignore"):
-        while n < n_max:
-            stop = min(n + span, n_max)
-            span = min(2 * span, cap)
+        for n in range(0, n_max, cap):
+            stop = min(n + cap, n_max)
             for inc, r0, r1, s in zip(incs, bounds, bounds[1:], steps):
                 if s > n:
                     inc_c[: min(stop, s) - n, r0:r1] = inc[:, n:stop].T
-            if unchecked:
-                # Unchecked steps while every row stays in range: max and
-                # min also flag NaN. The first chunk that leaves the range
-                # is redone below, as is every step after it.
-                w = v
-                for chunk_steps, dw, vals, h in segments(n, stop):
-                    w = w[: dw.shape[1]]
-                    for j in chunk_steps:
-                        w = _raw_update(variant, eps, w, h, dw[j])
-                        vals[j] = w
-                chunk = val_c[: stop - n]
-                unchecked = (
-                    chunk.max() <= SATURATION_LIMIT and chunk.min() >= -SATURATION_LIMIT
-                )
-                if unchecked:
-                    v = w
-            if not unchecked:
-                for chunk_steps, dw, vals, h in segments(n, stop):
-                    rows = dw.shape[1]
-                    v, live, first_blow = v[:rows], alive[:rows], blow[:rows]
-                    for j in chunk_steps:
-                        w = _raw_update(variant, eps, v, h, dw[j])
-                        ok = np.abs(w) <= SATURATION_LIMIT  # False for NaN and inf too
-                        if not ok.all():
-                            newly = ~ok & live
-                            w = _saturate(w, v)  # rows dead before take v below
-                            first_blow[newly] = n + j + 1
-                            if any_dead:
-                                w = np.where(live, w, v)
-                            live &= ok
-                            any_dead = True
-                        elif any_dead:
-                            w = np.where(live, w, v)
-                        vals[j] = w
-                        v = w
+            w = v
+            for chunk_steps, dw, vals, h in segments(n, stop):
+                w = w[: dw.shape[1]]
+                for j in chunk_steps:
+                    w = _raw_update(variant, eps, w, h, dw[j])
+                    vals[j] = w
+            chunk = val_c[: stop - n]
+            if frozen.size:
+                chunk[:, frozen] = frozen_at
+            # max and min also flag NaN
+            if not (chunk.max() <= SATURATION_LIMIT and chunk.min() >= -SATURATION_LIMIT):
+                bad = ~(np.abs(chunk) <= SATURATION_LIMIT)  # True for NaN and inf too
+                rows = np.flatnonzero(bad.any(axis=0))
+                k = bad[:, rows].argmax(axis=0)  # each row's first step out of range
+                at = _saturate(chunk[k, rows], np.where(k, chunk[k - 1, rows], v[rows]))
+                after = np.arange(stop - n)[:, None] >= k
+                chunk[:, rows] = np.where(after, at, chunk[:, rows])
+                blow[rows] = n + k + 1
+                frozen = np.concatenate([frozen, rows])
+                frozen_at = np.concatenate([frozen_at, at])
+            v = w
             for out, r0, r1, s in zip(outs, bounds, bounds[1:], steps):
                 if s > n:
                     out[:, n + 1 : min(stop, s) + 1] = val_c[: min(stop, s) - n, r0:r1].T
-            n = stop
     results = [None] * len(checked)
     for i, out, r0, r1 in zip(order, outs, bounds, bounds[1:]):
         results[i] = (out, blow[r0:r1])

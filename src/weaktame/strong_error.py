@@ -158,7 +158,7 @@ def _error_task(
             # A weak-tamed step moves |u| up by at most noise of order
             # 1/sqrt(h), so the reference leaves the range only from inputs
             # at float64's limits: h * u^2 overflows (the gain times h * u is
-            # then 0 * inf = NaN), or |u0| starts above SATURATION_LIMIT.
+            # then 0 * inf = NaN).
             raise ValueError(
                 f"inputs overflow float64: the weak-tamed reference at "
                 f"h = {h_ref:g} left the range |u| <= {SATURATION_LIMIT:g}"

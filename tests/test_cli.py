@@ -173,6 +173,14 @@ def test_enkf_general_shape(capsys):
         # ... and moments printed inf
         (["moments", "--u0=-1e160", "--levels", "1..2", "--M", "10",
           "--workers", "1"], "u0"),
+        # u0 beyond the saturation sentinel: the step loop checks nodes from
+        # 1 on, so strong-error printed 9e150 errors and moments reported
+        # sup_of_mean = 1e151
+        (["strong-error", "--u0", "1e151", "--levels", "0..3", "--M", "3",
+          "--workers", "1"], "u0"),
+        (["moments", "--u0", "1e151", "--p", "1", "--levels", "1..2", "--M", "10",
+          "--workers", "1"], "u0"),
+        (["blowup", "--u0=-1e151", "--M", "10", "--workers", "1"], "u0"),
         # the chain overflows; numpy warnings used to precede the error line
         (["enkf", "--J", "40", "--d", "3", "--K", "2", "--h", "1e308", "--steps", "3",
           "--workers", "1"], "anomalies must be finite"),
@@ -251,9 +259,9 @@ def test_flag_values_too_large_for_memory_exit_2(argv):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_moments_overflow_exits_2_without_a_table(tmp_path, capsys):
-    # u0 squares finitely, but the order-2 moments of u0**2 do not
+    # u0 lies in range, but its order-2.5 moments overflow
     out = tmp_path / "m.csv"
-    argv = ["moments", "--u0", "1.3e154", "--levels", "1..2", "--M", "10",
+    argv = ["moments", "--u0", "1e150", "--levels", "1..2", "--M", "10",
             "--workers", "1", "-o", str(out)]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()

@@ -78,6 +78,11 @@ def test_step_validates_inputs():
         step(WEAK_TAMED_ENKF, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         step(WEAK_TAMED_ENKF, np.nan, 0.1, 0.0)
+    # u0 must lie in the range; the sentinel itself does
+    with pytest.raises(ValueError, match="range"):
+        integrate_increments(WEAK_TAMED_ENKF, 0.1, np.zeros((2, 3)), [0.5, -1e151])
+    values, _ = integrate_increments(WEAK_TAMED_ENKF, 0.1, np.zeros((1, 1)), -SATURATION_LIMIT)
+    assert values[0, 0] == -SATURATION_LIMIT
     # a non-finite increment is a blow-up, saturated rather than raised
     assert step(WEAK_TAMED_ENKF, 1.0, 0.1, np.inf) == SATURATION_LIMIT
 
@@ -279,30 +284,35 @@ def stepwise_integrate(spec, h, increments, u0):
     return values, blow
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 64])
 @pytest.mark.parametrize("n_steps", [1, 64, 65, 700])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
-def test_chunked_range_check_matches_the_stepwise_loop(spec, n_steps):
+def test_chunked_range_check_matches_the_stepwise_loop(monkeypatch, spec, n_steps, chunk):
     # A non-finite increment at step index k blows its row up at node k + 1.
-    # Chunks span steps [0, 1), [1, 3), [3, 7), ..., [63, 127), then 64
-    # steps each: the positions hit the first chunks, both sides of the
-    # boundaries at 63 and 127, and a later chunk. u0 = +-10 and +-1e100 make
-    # naive_em blow up on its own.
-    u0 = np.array([0.5, -0.5, 10.0, -10.0, 1e100, -1e100])
+    # Chunks of `chunk` steps start at the multiples of it: the positions hit
+    # the first steps, both sides of the boundaries at 3, 6, 63, 64 and 128,
+    # and a later chunk. u0 = +-10 and +-1e100 make naive_em blow up on its
+    # own; u0 = +-1e150, the sentinel, blows naive_em and the two tamed
+    # comparators up at the first step, while the regularized kernels stay in
+    # range. The u0 come three times, once per bad increment.
+    monkeypatch.setattr(schemes, "_RANGE_CHUNK", chunk)
+    u0 = np.tile([0.5, -0.5, 10.0, -10.0, 1e100, -1e100, 1e150, -1e150], 3)
+    bad = np.repeat([np.inf, -np.inf, np.nan], len(u0) // 3)
     h = 0.05
     rng = np.random.default_rng(n_steps)
-    for position in (None, 0, 1, 2, 62, 63, 64, 126, 127, 299):
+    for position in (None, 0, 1, 2, 3, 5, 6, 63, 64, 127, 128, 299):
         if position is not None and position >= n_steps:
             continue
-        for bad in (np.inf, -np.inf, np.nan):
-            increments = np.sqrt(h) * rng.standard_normal((len(u0), n_steps))
-            if position is not None:
-                increments[::2, position] = bad  # every other row
-            values, blow = integrate_increments(spec, h, increments, u0)
-            want, want_blow = stepwise_integrate(spec, h, increments, u0)
-            assert values.tobytes() == want.tobytes()
-            assert blow.tobytes() == want_blow.tobytes()
-            if position is not None:
-                assert blow[0] == position + 1  # u0 = 0.5 stays in range till then
+        increments = np.sqrt(h) * rng.standard_normal((len(u0), n_steps))
+        if position is not None:
+            increments[::2, position] = bad[::2]  # every other row
+        values, blow = integrate_increments(spec, h, increments, u0)
+        want, want_blow = stepwise_integrate(spec, h, increments, u0)
+        assert values.tobytes() == want.tobytes()
+        assert blow.tobytes() == want_blow.tobytes()
+        if position is not None:
+            # u0 = 0.5 stays in range till then
+            assert blow[u0 == 0.5].tolist() == [position + 1] * 3
 
 
 @pytest.mark.parametrize(
@@ -311,9 +321,8 @@ def test_chunked_range_check_matches_the_stepwise_loop(spec, n_steps):
 def test_a_loop_that_leaves_the_range_redoes_at_most_the_steps_taken(
     monkeypatch, n_steps, blow_node
 ):
-    # Chunks start at one step and double, so the chunk in which the row
-    # leaves the range, redone step by step, is no longer than the steps up
-    # to the one that left it.
+    # Each step is taken once; a row that leaves the range is saturated
+    # after its chunk, so no step is redone.
     calls = []
 
     def counting(*args):
@@ -325,7 +334,7 @@ def test_a_loop_that_leaves_the_range_redoes_at_most_the_steps_taken(
     increments[0, blow_node - 1] = np.inf
     _, blow = integrate_increments(WEAK_TAMED_ENKF, 0.05, increments, 0.5)
     assert blow[0] == blow_node
-    assert len(calls) <= n_steps + blow_node
+    assert len(calls) == n_steps
 
 
 # Step counts of the stacked blocks, in the order passed: equal counts, one
@@ -360,9 +369,8 @@ def test_stacked_blocks_match_one_call_per_block(monkeypatch, spec, blow_block):
     stacked = _integrate_blocks(spec, blocks)
     monkeypatch.undo()
     assert len(stacked) == len(blocks)
-    if not any((blow >= 0).any() for _, blow in stacked):
-        # one update per step of the longest block: no chunk was redone
-        assert len(calls) == max(STACKED_STEPS)
+    # one update per step of the longest block, blow-up or not
+    assert len(calls) == max(STACKED_STEPS)
     for (h, increments, u0), (values, blow) in zip(blocks, stacked):
         want, want_blow = integrate_increments(spec, h, increments, u0)
         assert values.tobytes() == want.tobytes()
@@ -373,6 +381,32 @@ def test_stacked_blocks_match_one_call_per_block(monkeypatch, spec, blow_block):
             assert [(b >= 0).any() for _, b in stacked] == [
                 k == blow_block for k in range(len(blocks))
             ]
+
+
+@pytest.mark.parametrize("chunk", [3, 64])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_stacked_rows_that_leave_the_range_in_the_chunk_their_block_ends(
+    monkeypatch, spec, chunk
+):
+    # Blocks of 130, 70 and 65 steps, each with a row that leaves the range
+    # at its block's last step and one that leaves it two steps before. At a
+    # chunk of 64 the shorter blocks end in the chunk [64, 128), the 65-step
+    # block at that chunk's first step; at 3 both end inside a chunk.
+    monkeypatch.setattr(schemes, "_RANGE_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    blocks = []
+    for n_steps in (130, 70, 65):
+        h = 1.0 / n_steps
+        increments = np.sqrt(h) * rng.standard_normal((3, n_steps))
+        increments[0, -1] = np.nan
+        increments[1, -3] = -np.inf
+        blocks.append((h, increments, rng.uniform(-1.0, 1.0, 3)))
+    for (h, increments, u0), (values, blow) in zip(blocks, _integrate_blocks(spec, blocks)):
+        want, want_blow = stepwise_integrate(spec, h, increments, u0)
+        assert values.tobytes() == want.tobytes()
+        assert blow.tobytes() == want_blow.tobytes()
+        n_steps = increments.shape[1]
+        assert blow[:2].tolist() == [n_steps, n_steps - 2]
 
 
 def test_stacked_blocks_of_no_steps_or_no_rows():
