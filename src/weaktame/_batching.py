@@ -5,7 +5,8 @@ pure function of (seed, start index, count), batches are merged strictly in
 index order, and any randomness beyond the sample streams (bootstrap draws)
 lives in the parent process. Aggregates are therefore byte-identical for any
 worker count. Both estimators' bootstraps run through ``bootstrap``, which
-draws its resamples a few at a time, and report ``half_width``.
+draws its resamples a few at a time, and report ``half_width``. The blocked
+loops of ``schemes`` and ``enkf`` size their blocks from _SCRATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ BOOTSTRAP_RESAMPLES = 200
 # Resamples drawn and reduced per numpy call: a block holds this many (n,)
 # rows of indices, and the statistic gathers as many copies of its data.
 _BOOTSTRAP_CHUNK = 10
+# Bytes of each scratch array of a blocked loop (512 KiB): a step-loop chunk
+# holds max(1, _SCRATCH_BYTES // (8 * rows)) steps of every stacked row, and
+# an EnKF noise block at most max(1, _SCRATCH_BYTES // (8 * J * J * K)) steps.
+_SCRATCH_BYTES = 1 << 19
 
 
 def batch_ranges(n_samples: int, batch_size: int) -> list[tuple[int, int]]:
@@ -67,24 +72,13 @@ def run_batches(
 ) -> list:
     """Apply ``worker`` to every argument tuple, results in submission order.
 
-    The pool gets one process per batch at most (see _pool_size); a single
-    process runs inline (no pool, easier tracebacks). Either way the returned
-    list order matches ``args_per_batch``, which is what downstream
-    order-dependent merges rely on.
+    The pool gets one process per batch at most, since a fork-started pool
+    launches all of them up front; a single process runs inline (no pool,
+    easier tracebacks). Either way the result order is that of
+    ``args_per_batch``, which downstream order-dependent merges rely on.
     """
-    workers = _pool_size(workers, len(args_per_batch))
+    workers = min(workers, len(args_per_batch))
     if workers <= 1:
         return [worker(*args) for args in args_per_batch]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_star_apply, [(worker, args) for args in args_per_batch]))
-
-
-def _pool_size(workers: int, n_batches: int) -> int:
-    """Processes to start: the requested count, but no more than there are
-    batches, since a fork-started pool launches all of them up front."""
-    return min(workers, n_batches)
-
-
-def _star_apply(packed):
-    worker, args = packed
-    return worker(*args)
+        return list(pool.map(worker, *zip(*args_per_batch)))

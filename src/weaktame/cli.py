@@ -153,8 +153,11 @@ def _deliver(config: ExperimentConfig, text: str) -> None:
         sys.stdout.write(text)
         return
     out = Path(config.output_path)
-    out.write_bytes(text.encode("utf-8"))
-    out.with_suffix(".config.json").write_bytes(emit_config(config).encode("utf-8"))
+    try:
+        out.write_bytes(text.encode("utf-8"))
+        out.with_suffix(".config.json").write_bytes(emit_config(config).encode("utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename!r}: {exc.strerror}") from None
 
 
 def _run_rates(config: ExperimentConfig) -> int:

@@ -21,12 +21,12 @@ A chain is one EnsembleChain: its iterates are the rows of one mean and one
 anomaly array. _chain is the one step loop; run_chain runs it on replayable
 draws, and enkf_step is its one-step case. The noise terms depend on the
 perturbations alone, so _chain forms them for blocks of steps (1, 2, 4, ...
-steps, up to 512 KiB of pairwise differences, or one step's if that is more),
-and each step forms only the gain and the two updates. Finiteness is checked
-once per block, on its new rows, and the ValueError raised is the one of the
-first non-finite iterate. An exactly singular innovation system (for SPD
-Gamma only when h Cpp swamps Gamma in floating point) gives a NaN gain, so it
-ends the chain with that error too.
+steps, up to _batching._SCRATCH_BYTES of pairwise differences, or one step's
+if that is more), and each step forms only the gain and the two updates.
+Finiteness is checked once per block, on its new rows, and the ValueError
+raised is the one of the first non-finite iterate. An exactly singular
+innovation system (for SPD Gamma only when h Cpp swamps Gamma in floating
+point) gives a NaN gain, so it ends the chain with that error too.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _batching
 from .brownian import standard_normals
 
 __all__ = [
@@ -167,12 +168,6 @@ def sym_sqrt(matrix: np.ndarray) -> np.ndarray:
 _solve = np.linalg._umath_linalg.solve
 
 
-# Floats of the (steps, J, J, K) pairwise intermediate that one stacked
-# noise pass may hold (512 KiB): _chain forms the noise terms of at most
-# max(1, _NOISE_BLOCK_FLOATS // (J * J * K)) steps at a time.
-_NOISE_BLOCK_FLOATS = 1 << 16
-
-
 def _noise_terms(
     draws: np.ndarray, sqrt_noise: np.ndarray, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +204,8 @@ def _chain(initial: EnsembleState, draws: np.ndarray) -> tuple[np.ndarray, np.nd
     forward_map, observation = initial.forward_map, initial.observation
     forward_map_t, noise_cov, h = forward_map.T, initial.noise_cov, initial.h
     sqrt_noise = sym_sqrt(noise_cov)
-    cap = max(1, _NOISE_BLOCK_FLOATS // (j * j * k))
+    # steps whose (steps, J, J, K) pairwise differences fill the budget
+    cap = max(1, _batching._SCRATCH_BYTES // (8 * j * j * k))
     means = np.empty((n_steps + 1, initial.dim))
     anomalies = np.empty((n_steps + 1, j, initial.dim))
     means[0], anomalies[0] = initial.mean, initial.anomalies

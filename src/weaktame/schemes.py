@@ -12,12 +12,13 @@ that advances a batch of increment rows, one step for all rows at a time:
 The weak-tamed scheme and regularized_em(eps=h) execute the same kernel, so
 their trajectories agree bit for bit. Non-finite or astronomically large
 values are recorded as blow-ups and saturated, never raised. The step loop
-takes each step once, unchecked, and checks the range once per chunk of up
-to _RANGE_CHUNK steps, on the chunk's max and min (which NaN fails too). A
-row that left the range is saturated at its first node out of range and
-frozen there, so the values are bitwise those of a check per step. One loop
-steps several blocks of rows, each with its own h and step count, at once
-(_integrate_blocks); integrate_increments is its one-block case.
+takes each step once, unchecked, in chunks of _batching._SCRATCH_BYTES per
+scratch array, and checks the range once per chunk, on its max and min
+(which NaN fails too). A row that left the range is saturated at its first
+node out of range and frozen there, so the values are bitwise those of a
+check per step. One loop steps several blocks of rows, each with its own h
+and step count, at once (_integrate_blocks); integrate_increments is its
+one-block case.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _batching
 from .coeffs import _regularized_pair
 
 __all__ = [
@@ -41,12 +43,6 @@ __all__ = [
 ]
 
 SATURATION_LIMIT = 1e150
-# Most steps in a chunk of the step loop, and so between two range checks.
-_RANGE_CHUNK = 64
-# Bytes of each time-major scratch array of the step loop (increments and
-# values): a chunk holds at most this many, however many rows are stacked,
-# so the scratch stays cache-sized and adds little resident memory.
-_CHUNK_BYTES = 1 << 19
 
 _VARIANTS = {
     "naive_em",
@@ -164,8 +160,8 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
     Iteration k takes step k of every block that still has one. The blocks
     are stacked in decreasing step count, so the rows still running are a
     prefix of one state vector, with a per-row h. Steps run unchecked in
-    time-major chunks of at most _RANGE_CHUNK steps and _CHUNK_BYTES per
-    scratch array; each chunk's increments are transposed in from, and its
+    time-major chunks of _batching._SCRATCH_BYTES per scratch array (one
+    step at least); each chunk's increments are transposed in from, and its
     values out to, every block's row-major arrays. Before the values go out,
     rows frozen in an earlier chunk are set back to their frozen value, and a
     row that left the range in this chunk is saturated at its first node out
@@ -179,8 +175,7 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
     steps = [inc.shape[1] for inc in incs]
     bounds = np.cumsum([0] + [inc.shape[0] for inc in incs]).tolist()
     n_rows = bounds[-1]
-    scalar_h = len(set(hs)) == 1
-    h_all = hs[0] if scalar_h else np.repeat(hs, np.diff(bounds))
+    h_all = np.repeat(hs, np.diff(bounds))
     outs = [np.empty((inc.shape[0], inc.shape[1] + 1)) for inc in incs]
     for out, u0 in zip(outs, u0s):
         out[:, 0] = u0
@@ -191,7 +186,7 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
     variant = spec.variant
     eps = spec.epsilon
     n_max = steps[0] if n_rows else 0
-    cap = max(1, min(_RANGE_CHUNK, _CHUNK_BYTES // (8 * max(n_rows, 1))))
+    cap = max(1, _batching._SCRATCH_BYTES // (8 * max(n_rows, 1)))
     inc_c = np.empty((min(cap, n_max), n_rows))
     # Zeros: a chunk's range check spans every stacked row, and the rows of
     # blocks that ended keep in-range values (these zeros or an earlier
@@ -207,8 +202,7 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
         while n < stop:
             end = min(stop, steps[m - 1])
             rows = bounds[m]
-            h = h_all if scalar_h else h_all[:rows]
-            yield range(n - start, end - start), inc_c[:, :rows], val_c[:, :rows], h
+            yield range(n - start, end - start), inc_c[:, :rows], val_c[:, :rows], h_all[:rows]
             n = end
             while m and steps[m - 1] <= n:
                 m -= 1

@@ -9,16 +9,35 @@ from weaktame import _batching
 from weaktame._batching import bootstrap, half_width, run_batches
 
 
-def test_pool_size_is_clamped_to_batch_count():
-    assert _batching._pool_size(1, 10) == 1
-    assert _batching._pool_size(4, 10) == 4
-    assert _batching._pool_size(64, 3) == 3
-    assert _batching._pool_size(10_000, 1) == 1
-    assert _batching._pool_size(8, 0) == 0
-
-
 def _pid_and(x):
     return os.getpid(), x
+
+
+@pytest.mark.parametrize(
+    "workers, n_batches, pool_size", [(1, 10, 1), (4, 10, 4), (64, 3, 3), (10_000, 1, 1), (8, 0, 0)]
+)
+def test_pool_size_is_clamped_to_batch_count(monkeypatch, workers, n_batches, pool_size):
+    # A recording stand-in for the pool, which maps in this process: a pool
+    # of one process or none is never started, the batches run inline.
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(_batching, "ProcessPoolExecutor", RecordingPool)
+    args = [(i, 3) for i in range(n_batches)]
+    assert run_batches(divmod, args, workers) == [divmod(i, 3) for i in range(n_batches)]
+    assert started == ([pool_size] if pool_size > 1 else [])
 
 
 def test_single_batch_runs_inline_whatever_the_worker_count():

@@ -214,6 +214,10 @@ def test_enkf_general_shape(capsys):
          "positive-error levels"),
         (["strong-error", "--T", "1e-300", "--levels", "4..7", "--M", "64", "--workers", "1"],
          "positive-error levels"),
+        # an -o path that cannot be written used to end in a traceback, exit 1
+        (["rates", "--eta-grid", "0.5", "-o", "/no/such/dir/x.csv"],
+         "cannot write '/no/such/dir/x.csv'"),
+        (["rates", "--eta-grid", "0.5", "-o", ""], "Is a directory"),
     ],
 )
 # pytest captures warnings instead of printing them, so make them fail

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weaktame import enkf
+from weaktame import _batching, enkf
 from weaktame.brownian import standard_normals
 from weaktame.enkf import (
     EnsembleState,
@@ -375,7 +375,7 @@ def test_run_chain_equals_single_steps_bitwise(j, d, k, spd):
     state = general_state(j, d, k, spd)
     n_steps = 60
     if j >= 40:  # long enough to span several stacked noise blocks
-        assert n_steps > enkf._NOISE_BLOCK_FLOATS // (j * j * k)
+        assert n_steps > _batching._SCRATCH_BYTES // (8 * j * j * k)
     chain = run_chain(state, n_steps, seed=8, chain_index=j)
     draws = standard_normals(8, j, n_steps * j * k).reshape(n_steps, j, k)
     sqrt_noise = sym_sqrt(state.noise_cov)
@@ -478,7 +478,25 @@ def set_noise_block(monkeypatch, floats, state):
     # "3 steps" caps the noise blocks at 3 steps: iterates 1, 2-3, 4-6, 7-9, ...
     if floats == "3 steps":
         floats = 3 * state.n_members**2 * state.obs_dim
-    monkeypatch.setattr(enkf, "_NOISE_BLOCK_FLOATS", floats)
+    monkeypatch.setattr(_batching, "_SCRATCH_BYTES", 8 * floats)
+
+
+@pytest.mark.parametrize(
+    "floats, blocks", [("3 steps", [1, 2, 3, 3, 3]), (1, [1] * 12), (10**8, [1, 2, 4, 5])]
+)
+def test_noise_blocks_double_up_to_the_scratch_budget(floats, blocks, monkeypatch):
+    state = general_state(3, 2, 2, True)
+    set_noise_block(monkeypatch, floats, state)
+    sizes = []
+    noise_terms = enkf._noise_terms
+
+    def recording(block, sqrt_noise, h):
+        sizes.append(len(block))
+        return noise_terms(block, sqrt_noise, h)
+
+    monkeypatch.setattr(enkf, "_noise_terms", recording)
+    run_chain(state, 12, seed=4)
+    assert sizes == blocks
 
 
 @pytest.mark.parametrize("floats", NOISE_BLOCKS)
@@ -535,7 +553,7 @@ def test_a_chain_that_leaves_the_range_at_step_1_stops_within_two_steps(monkeypa
     # non-finite at step 1, and blocks of 1, 2, 4, ... steps stop it there
     state = overflowing_pair()
     n_steps = 16384
-    assert enkf._NOISE_BLOCK_FLOATS // (2 * 2 * 1) == n_steps
+    assert _batching._SCRATCH_BYTES // (8 * 2 * 2 * 1) == n_steps
     draws = standard_normals(1, 0, n_steps * 2).reshape(n_steps, 2, 1)
     expected = first_error_of_checked_loop(state, draws)
     assert expected == (1, "anomalies must be finite")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
-from weaktame import _batching, cli, enkf, schemes, strong_error
+from weaktame import _batching, cli, strong_error
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,11 +99,9 @@ def test_identity_check_golden_bytes(capsys):
 # trade speed against memory only, so no setting may move a byte. Forked
 # workers inherit the patched values.
 TUNING_CONSTANTS = {
-    (schemes, "_CHUNK_BYTES"): (8, 100_003, 10**8),
-    (schemes, "_RANGE_CHUNK"): (1, 7, 10**6),
+    (_batching, "_SCRATCH_BYTES"): (8, 100_003, 10**8),
     (strong_error, "_CHUNK_NODES"): (1, 600, 10**8),
     (strong_error, "_MAX_TASK_UNITS"): (1, 3, 1000),
-    (enkf, "_NOISE_BLOCK_FLOATS"): (1, 777, 10**8),
     (_batching, "_BOOTSTRAP_CHUNK"): (1, 7, 1000),
 }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weaktame import schemes
+from weaktame import _batching, schemes
 from weaktame.brownian import TimeGrid, coarsen_increments, increment_block
 from weaktame.schemes import (
     DRIFT_TAMED,
@@ -284,7 +284,7 @@ def stepwise_integrate(spec, h, increments, u0):
     return values, blow
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("chunk", [1, 3, 64, None])
 @pytest.mark.parametrize("n_steps", [1, 64, 65, 700])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
 def test_chunked_range_check_matches_the_stepwise_loop(monkeypatch, spec, n_steps, chunk):
@@ -294,9 +294,18 @@ def test_chunked_range_check_matches_the_stepwise_loop(monkeypatch, spec, n_step
     # and a later chunk. u0 = +-10 and +-1e100 make naive_em blow up on its
     # own; u0 = +-1e150, the sentinel, blows naive_em and the two tamed
     # comparators up at the first step, while the regularized kernels stay in
-    # range. The u0 come three times, once per bad increment.
-    monkeypatch.setattr(schemes, "_RANGE_CHUNK", chunk)
+    # range. The u0 come three times, once per bad increment. Unpatched
+    # (chunk None), the budget holds every call in one chunk.
     u0 = np.tile([0.5, -0.5, 10.0, -10.0, 1e100, -1e100, 1e150, -1e150], 3)
+    if chunk is not None:
+        monkeypatch.setattr(_batching, "_SCRATCH_BYTES", 8 * len(u0) * chunk)
+    scratch_steps = set()
+
+    def recording(variant, eps, u, h, dw):
+        scratch_steps.add(dw.base.shape[0])  # dw is a row of the time-major scratch
+        return _raw_update(variant, eps, u, h, dw)
+
+    monkeypatch.setattr(schemes, "_raw_update", recording)
     bad = np.repeat([np.inf, -np.inf, np.nan], len(u0) // 3)
     h = 0.05
     rng = np.random.default_rng(n_steps)
@@ -313,6 +322,7 @@ def test_chunked_range_check_matches_the_stepwise_loop(monkeypatch, spec, n_step
         if position is not None:
             # u0 = 0.5 stays in range till then
             assert blow[u0 == 0.5].tolist() == [position + 1] * 3
+    assert scratch_steps == {min(chunk or n_steps, n_steps)}
 
 
 @pytest.mark.parametrize(
@@ -392,7 +402,7 @@ def test_stacked_rows_that_leave_the_range_in_the_chunk_their_block_ends(
     # at its block's last step and one that leaves it two steps before. At a
     # chunk of 64 the shorter blocks end in the chunk [64, 128), the 65-step
     # block at that chunk's first step; at 3 both end inside a chunk.
-    monkeypatch.setattr(schemes, "_RANGE_CHUNK", chunk)
+    monkeypatch.setattr(_batching, "_SCRATCH_BYTES", 8 * 9 * chunk)  # 9 rows
     rng = np.random.default_rng(chunk)
     blocks = []
     for n_steps in (130, 70, 65):
