@@ -48,10 +48,11 @@ IDENTITY_TOLERANCE = 1e-12
 _INIT_STREAM = 1
 
 _SCHEMES = {
-    "weak-tamed": schemes.WEAK_TAMED_ENKF,
-    "naive-em": schemes.NAIVE_EM,
-    "drift-tamed": schemes.DRIFT_TAMED,
-    "increment-tamed": schemes.INCREMENT_TAMED,
+    "weak-tamed": "weak_tamed_enkf",
+    "naive-em": "naive_em",
+    "drift-tamed": "drift_tamed",
+    "increment-tamed": "increment_tamed",
+    "regularized-em": "regularized_em",
 }
 
 
@@ -125,39 +126,43 @@ def _need(config: ExperimentConfig, *names: str) -> None:
             raise UsageError(f"{config.subcommand} config requires field {name!r}")
 
 
-def _check_u0(u0: float) -> None:
-    # The step loop checks the range from node 1 on, so a u0 beyond the
-    # saturation sentinel would be reported as a node; in range, u0*u0 is
-    # finite too.
-    limit = schemes.SATURATION_LIMIT
-    if not abs(u0) <= limit:
-        raise UsageError(f"u0 must lie in the range |u0| <= {limit:g}, got {u0!r}")
-
-
 def _scheme_from_config(config: ExperimentConfig) -> schemes.SchemeSpec:
     name = config.scheme or "weak-tamed"
-    if name == "regularized-em":
-        if config.epsilon is None:
-            raise UsageError("scheme 'regularized-em' requires field 'epsilon'")
-        return schemes.SchemeSpec("regularized_em", config.epsilon)
-    if config.epsilon is not None:
-        raise UsageError(f"scheme {name!r} takes no 'epsilon'")
-    try:
-        return _SCHEMES[name]
-    except KeyError:
-        raise UsageError(f"unknown scheme {name!r}") from None
+    if name not in _SCHEMES:
+        raise UsageError(f"unknown scheme {name!r}")
+    return schemes.SchemeSpec(_SCHEMES[name], config.epsilon)
 
 
 def _deliver(config: ExperimentConfig, text: str) -> None:
+    """The table to stdout, or to the -o path with its sidecar. A table
+    whose sidecar cannot be written is removed again, so a failed write
+    leaves neither file."""
     if config.output_path is None:
         sys.stdout.write(text)
         return
     out = Path(config.output_path)
     try:
         out.write_bytes(text.encode("utf-8"))
-        out.with_suffix(".config.json").write_bytes(emit_config(config).encode("utf-8"))
+        try:
+            out.with_suffix(".config.json").write_bytes(emit_config(config).encode("utf-8"))
+        except OSError:
+            out.unlink()
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write {exc.filename!r}: {exc.strerror}") from None
+
+
+def _gate(
+    name: str, value: float, rule: str, threshold: float, margin: float, passed: bool
+) -> bool:
+    """Return ``passed``, and print the gate's one failure line to stderr when
+    it is false. ``margin`` is signed so that a failing gate has a negative one."""
+    if not passed:
+        print(
+            f"gate failed: {name} = {value:.6g}, {rule} = {threshold:.6g}, margin {margin:+.6g}",
+            file=sys.stderr,
+        )
+    return passed
 
 
 def _run_rates(config: ExperimentConfig) -> int:
@@ -181,7 +186,6 @@ def _run_strong_error(config: ExperimentConfig) -> int:
     _need(config, "levels", "n_samples", "eta", "alpha", "horizon", "u0")
     if len(config.levels) < 4:
         raise UsageError("strong-error needs at least 4 levels for the rate fit")
-    _check_u0(config.u0)
     spec = _scheme_from_config(config)
     result = strong_error.estimate_strong_error(
         spec,
@@ -202,23 +206,16 @@ def _run_strong_error(config: ExperimentConfig) -> int:
     }
     _deliver(config, reports.strong_error_csv(result))
     sys.stdout.write(reports.rate_fits_json(fits))
-    code = 0
+    passed = []
     for name, fit in fits.items():
         floor = max(fit.theoretical_exponent - 0.05, 0.40)
-        if not fit.slope >= floor:
-            print(
-                f"gate failed: {name} fit slope = {fit.slope:.6g}, "
-                f"floor max(theoretical - 0.05, 0.40) = {floor:.6g}, "
-                f"margin {fit.slope - floor:+.6g}",
-                file=sys.stderr,
-            )
-            code = 1
-    return code
+        passed.append(_gate(f"{name} fit slope", fit.slope, "floor max(theoretical - 0.05, 0.40)",
+                            floor, fit.slope - floor, fit.slope >= floor))
+    return 0 if all(passed) else 1
 
 
 def _run_moments(config: ExperimentConfig) -> int:
     _need(config, "levels", "n_samples", "p_values", "horizon", "u0")
-    _check_u0(config.u0)
     spec = _scheme_from_config(config)
     rows = []
     by_p: dict[float, list[tuple[float, float]]] = {}
@@ -247,26 +244,23 @@ def _run_moments(config: ExperimentConfig) -> int:
 
     # Uniformity-in-h gate, only meaningful for the weak-tamed scheme and
     # more than one step size; other schemes are documentation runs.
-    code = 0
-    if spec.variant == "weak_tamed_enkf" and len(config.levels) >= 2:
-        for p, entries in by_p.items():
-            sups = [s for s, _ in entries]
-            allowance = 3.0 * max(ci for _, ci in entries) + 0.05
-            if max(sups) > min(sups) + allowance:
-                spread = max(sups) - min(sups)
-                print(
-                    f"gate failed: moments p = {p:g}: max - min of sup_of_mean = "
-                    f"{spread:.6g}, allowance 3 * max ci + 0.05 = {allowance:.6g}, "
-                    f"margin {allowance - spread:+.6g}",
-                    file=sys.stderr,
-                )
-                code = 1
-    return code
+    if spec.variant != "weak_tamed_enkf" or len(config.levels) < 2:
+        return 0
+    passed = []
+    for p, entries in by_p.items():
+        sups = [s for s, _ in entries]
+        allowance = 3.0 * max(ci for _, ci in entries) + 0.05
+        spread = max(sups) - min(sups)
+        passed.append(
+            _gate(f"moments p = {p:g}: max - min of sup_of_mean", spread,
+                  "allowance 3 * max ci + 0.05", allowance, allowance - spread,
+                  not max(sups) > min(sups) + allowance)
+        )
+    return 0 if all(passed) else 1
 
 
 def _run_blowup(config: ExperimentConfig) -> int:
     _need(config, "h_values", "n_samples", "horizon", "u0")
-    _check_u0(config.u0)
     table = moments.em_blowup_profile(
         config.h_values,
         config.u0,
@@ -286,8 +280,6 @@ def _run_enkf(config: ExperimentConfig) -> int:
         raise UsageError("ensemble_size must be >= 2")
     if d < 1 or k < 1:
         raise UsageError("state_dim and obs_dim must be >= 1")
-    if config.n_steps < 0:
-        raise UsageError("n_steps must be nonnegative")
     particles = standard_normals(config.seed, _INIT_STREAM, j * d).reshape(j, d)
     initial = EnsembleState.from_particles(
         particles,
@@ -303,11 +295,12 @@ def _run_enkf(config: ExperimentConfig) -> int:
 
 def _run_identity(config: ExperimentConfig) -> int:
     _need(config, "n_samples")
+    tol = IDENTITY_TOLERANCE
     worst, mean = coeffs.identity_sweep(config.n_samples, config.seed)
-    _deliver(
-        config, reports.identity_json(config.n_samples, worst, mean, IDENTITY_TOLERANCE)
-    )
-    return 0 if worst < IDENTITY_TOLERANCE else 1
+    passed = worst < tol
+    _deliver(config, reports.identity_json(config.n_samples, worst, mean, tol, passed))
+    gate = _gate("identity-check max residual", worst, "tolerance", tol, tol - worst, passed)
+    return 0 if gate else 1
 
 
 _RUNNERS = {
@@ -401,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def scheme_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--scheme",
-            choices=sorted(_SCHEMES) + ["regularized-em"],
+            choices=sorted(_SCHEMES),
             default="weak-tamed",
         )
         p.add_argument(
@@ -457,10 +450,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int(name: str) -> int | None:
+def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None or raw == "":
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -468,16 +461,8 @@ def _env_int(name: str) -> int | None:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    seed = args.seed
-    if seed is None:
-        seed = _env_int(SEED_ENV)
-    if seed is None:
-        seed = 0
-    workers = args.workers
-    if workers is None:
-        workers = _env_int(WORKERS_ENV)
-    if workers is None:
-        workers = os.cpu_count() or 1
+    seed = args.seed if args.seed is not None else _env_int(SEED_ENV, 0)
+    workers = args.workers if args.workers is not None else _env_int(WORKERS_ENV, os.cpu_count() or 1)
     # Each subcommand's flags are stored under the config field of the same
     # name (argparse ``dest``); fields of other subcommands stay None.
     fields = {

@@ -291,8 +291,6 @@ def em_blowup_profile(
     are (realized h, median |endpoint|, fraction of |endpoint| > 1e10).
     Saturated endpoints enter at the sentinel value.
     """
-    if not np.isfinite(u0):
-        raise ValueError("u0 must be finite")
     grids = []
     for h_req in h_list:
         h_req = float(h_req)

@@ -110,12 +110,14 @@ def enkf_csv(chain: EnsembleChain) -> str:
     return _table(header, "%d" + ",%.17g" * (len(header) - 1), rows)
 
 
-def identity_json(n_samples: int, max_residual: float, mean_residual: float, tolerance: float) -> str:
+def identity_json(
+    n_samples: int, max_residual: float, mean_residual: float, tolerance: float, passed: bool
+) -> str:
     body = {
         "samples": int(n_samples),
         "max_residual": float(max_residual),
         "mean_residual": float(mean_residual),
         "tolerance": float(tolerance),
-        "passed": bool(max_residual < tolerance),
+        "passed": bool(passed),
     }
     return json.dumps(body, indent=2) + "\n"

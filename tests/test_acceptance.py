@@ -7,8 +7,14 @@ second-moment recursion and node decay, (5) closed-form rate consistency,
 (6) empirical strong rates, (7) the explicit-Euler divergence mechanism,
 (8) moment sups uniform across step sizes, (9) worker-count determinism of
 the report bytes. Checks 6 and 9 share fixtures; the full file runs in a few
-minutes, everything else in seconds.
+minutes, everything else in seconds. One more test pins the sha256 of the
+check-6 strong-error, check-8 moments and check-9 blowup reports in
+``golden/acceptance_sha256.json``, from the same fixtures.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +50,7 @@ MOMENT_ORDERS = (1.0, 2.0, 2.5)
 MOMENT_SAMPLES = 10_000
 MOMENT_SEED = 2026
 PATHSET_SEED = 87
+ACCEPTANCE_DIGESTS = Path(__file__).parent / "golden" / "acceptance_sha256.json"
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +82,19 @@ def moment_tables_w1():
         )
         for level in STRONG_LEVELS
     }
+
+
+@pytest.fixture(scope="module")
+def blowup_profile_w1():
+    return em_blowup_profile([0.1], 10.0, 100, PATHSET_SEED, workers=1)
+
+
+def moment_rows(tables):
+    return [
+        (WEAK_TAMED_ENKF.label, TimeGrid(1.0, level, 1).h, rep)
+        for level in STRONG_LEVELS
+        for rep in tables[level]
+    ]
 
 
 def test_check_1_weak_tamed_equals_regularized_euler_bitwise():
@@ -181,7 +201,7 @@ def test_check_8_moment_sup_uniform_across_step_sizes(moment_tables_w1):
 
 
 def test_check_9_report_bytes_invariant_under_worker_count(
-    strong_error_w1, moment_tables_w1
+    strong_error_w1, moment_tables_w1, blowup_profile_w1
 ):
     rerun = estimate_strong_error(
         WEAK_TAMED_ENKF,
@@ -195,13 +215,6 @@ def test_check_9_report_bytes_invariant_under_worker_count(
     )
     csv_w1 = reports.strong_error_csv(strong_error_w1).encode("utf-8")
     assert reports.strong_error_csv(rerun).encode("utf-8") == csv_w1
-
-    def moment_rows(tables):
-        return [
-            (WEAK_TAMED_ENKF.label, TimeGrid(1.0, level, 1).h, rep)
-            for level in STRONG_LEVELS
-            for rep in tables[level]
-        ]
 
     rerun_tables = {
         level: moment_table(
@@ -217,8 +230,23 @@ def test_check_9_report_bytes_invariant_under_worker_count(
     csv_w1 = reports.moments_csv(moment_rows(moment_tables_w1)).encode("utf-8")
     assert reports.moments_csv(moment_rows(rerun_tables)).encode("utf-8") == csv_w1
 
-    profile_w1 = em_blowup_profile([0.1], 10.0, 100, PATHSET_SEED, workers=1)
     profile_w4 = em_blowup_profile([0.1], 10.0, 100, PATHSET_SEED, workers=4)
     assert reports.blowup_csv(profile_w4).encode("utf-8") == reports.blowup_csv(
-        profile_w1
+        blowup_profile_w1
     ).encode("utf-8")
+
+
+def test_acceptance_scale_report_bytes_are_pinned(
+    strong_error_w1, moment_tables_w1, blowup_profile_w1
+):
+    # Check 9 compares these reports only with reruns of the same code; the
+    # pin also catches a change of rounding that only the acceptance scale
+    # reaches (a short last batch or unit, levels 9 and 10).
+    texts = {
+        "strong_error_csv": reports.strong_error_csv(strong_error_w1),
+        "moments_csv": reports.moments_csv(moment_rows(moment_tables_w1)),
+        "blowup_csv": reports.blowup_csv(blowup_profile_w1),
+    }
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in texts.items()}
+    versions = json.loads((ACCEPTANCE_DIGESTS.parent / "versions.json").read_text())
+    assert digests == json.loads(ACCEPTANCE_DIGESTS.read_text()), f"pinned with {versions}"

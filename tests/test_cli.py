@@ -49,6 +49,20 @@ def test_identity_check_json(capsys):
     assert 0.0 < payload["mean_residual"] <= payload["max_residual"] < 1e-12
 
 
+def test_identity_check_failure_names_its_gate(monkeypatch, capsys):
+    # every residual reaches a zero tolerance, so the gate fails
+    monkeypatch.setattr(cli, "IDENTITY_TOLERANCE", 0.0)
+    assert cli.main(["identity-check", "--samples", "1000"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["passed"] is False
+    worst, tol = payload["max_residual"], payload["tolerance"]
+    assert captured.err.splitlines() == [
+        f"gate failed: identity-check max residual = {worst:.6g}, tolerance = {tol:.6g}, "
+        f"margin {tol - worst:+.6g}"
+    ]
+
+
 def test_strong_error_small_run_fails_gate(capsys):
     # coarse levels with few samples land below the 0.40 slope floor, and
     # stderr names each failing fit
@@ -181,6 +195,10 @@ def test_enkf_general_shape(capsys):
         (["moments", "--u0", "1e151", "--p", "1", "--levels", "1..2", "--M", "10",
           "--workers", "1"], "u0"),
         (["blowup", "--u0=-1e151", "--M", "10", "--workers", "1"], "u0"),
+        # two 512-row batches on a pool of 2: the error is raised in a worker
+        (["moments", "--u0", "1e151", "--p", "1", "--levels", "1..2", "--M", "1024",
+          "--workers", "2"], "u0"),
+        (["blowup", "--u0=nan", "--M", "1024", "--workers", "2"], "u0"),
         # the chain overflows; numpy warnings used to precede the error line
         (["enkf", "--J", "40", "--d", "3", "--K", "2", "--h", "1e308", "--steps", "3",
           "--workers", "1"], "anomalies must be finite"),
@@ -289,6 +307,18 @@ def test_strong_error_fit_failure_exits_2_without_a_table(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert "positive-error levels" in captured.err
     assert not out.exists() and not out.with_suffix(".config.json").exists()
+
+
+@pytest.mark.parametrize("blocked", ["table", "sidecar"])
+def test_failed_output_write_leaves_neither_file(blocked, tmp_path, monkeypatch, capsys):
+    # a directory where one of the two files should go makes its write fail
+    monkeypatch.chdir(tmp_path)
+    paths = {"table": Path("d.csv"), "sidecar": Path("d.config.json")}
+    paths[blocked].mkdir()
+    assert cli.main(["rates", "--eta-grid", "0.5", "-o", "d.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write '{paths[blocked]}': Is a directory\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / paths[blocked]]
 
 
 def test_unknown_subcommand_exits_2():
