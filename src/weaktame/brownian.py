@@ -85,8 +85,6 @@ def standard_normals(seed: int, stream: int, count: int) -> np.ndarray:
     """N(0,1) draws from the counter-based stream keyed by (seed, stream)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
     return _normals_from_words(Philox(key=_stream_key(seed, stream)).random_raw(count))
 
 

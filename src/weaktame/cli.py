@@ -348,7 +348,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise argparse.ArgumentTypeError(f"grid {text!r} has no finite point count")
         n = int(round(points)) + 1
         return tuple(start + i * step for i in range(n))
-    return tuple(float(tok) for tok in text.split(","))
+    return _parse_floats(text)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:

@@ -84,11 +84,15 @@ class EnsembleState:
         if mean.ndim != 1:
             raise ValueError(f"mean must be 1-d, got shape {mean.shape}")
         d = mean.shape[0]
+        if d < 1:
+            raise ValueError("state dimension must be >= 1")
         anomalies = _as_matrix("anomalies", self.anomalies, cols=d)
         if anomalies.shape[0] < 2:
             raise ValueError("need at least 2 ensemble members")
         forward_map = _as_matrix("forward_map", self.forward_map, cols=d)
         k = forward_map.shape[0]
+        if k < 1:
+            raise ValueError("observation dimension must be >= 1")
         observation = np.ascontiguousarray(self.observation, dtype=np.float64)
         if observation.shape != (k,):
             raise ValueError(f"observation must have shape ({k},), got {observation.shape}")

@@ -221,8 +221,6 @@ def moment_tables(
     ps = tuple(float(p) for p in ps)
     if not ps or not all(np.isfinite(p) and p > 0 for p in ps):
         raise ValueError("moment orders must be finite and positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
     per_grid = _grid_batches(_moment_batch, spec, grids, n_samples, seed, u0, workers, ps)
     return [_merge_moments(results, ps, n_samples, seed) for results in per_grid]
 

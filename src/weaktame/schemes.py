@@ -159,15 +159,17 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
 
     Iteration k takes step k of every block that still has one. The blocks
     are stacked in decreasing step count, so the rows still running are a
-    prefix of one state vector, with a per-row h. Steps run unchecked in
-    time-major chunks of _batching._SCRATCH_BYTES per scratch array (one
-    step at least); each chunk's increments are transposed in from, and its
-    values out to, every block's row-major arrays. Before the values go out,
-    rows frozen in an earlier chunk are set back to their frozen value, and a
-    row that left the range in this chunk is saturated at its first node out
-    of range and frozen from there. Every kernel acts per row, so a row's
-    values up to that node, the saturated value and each block's blow are
-    bitwise those of a check after every step of its own call.
+    prefix of one state vector, with a per-row h; at a step where a block
+    ends, the loop narrows its views of the state, h and scratch to that
+    prefix. Steps run unchecked in time-major chunks of
+    _batching._SCRATCH_BYTES per scratch array (one step at least); each
+    chunk's increments are transposed in from, and its values out to, every
+    block's row-major arrays. Before the values go out, rows frozen in an
+    earlier chunk are set back to their frozen value, and a row that left the
+    range in this chunk is saturated at its first node out of range and
+    frozen from there. Every kernel acts per row, so a row's values up to
+    that node, the saturated value and each block's blow are bitwise those
+    of a check after every step of its own call.
     """
     checked = [_checked_block(*block) for block in blocks]
     order = sorted(range(len(checked)), key=lambda i: -checked[i][1].shape[1])
@@ -179,7 +181,6 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
     outs = [np.empty((inc.shape[0], inc.shape[1] + 1)) for inc in incs]
     for out, u0 in zip(outs, u0s):
         out[:, 0] = u0
-    v = np.concatenate(u0s)
     blow = np.full(n_rows, -1, dtype=np.int64)
     # rows that left the range in an earlier chunk, and the values they froze at
     frozen, frozen_at = np.empty(0, dtype=np.intp), np.empty(0)
@@ -192,33 +193,23 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
     # blocks that ended keep in-range values (these zeros or an earlier
     # chunk's), so only a row that left the range fails it.
     val_c = np.zeros_like(inc_c)
-
-    def segments(start, stop):
-        """(steps as chunk rows, the running rows' scratch increments and
-        values, and their h) of each run of steps in the chunk [start, stop)
-        over which no block ends."""
-        m = sum(s > start for s in steps)
-        n = start
-        while n < stop:
-            end = min(stop, steps[m - 1])
-            rows = bounds[m]
-            yield range(n - start, end - start), inc_c[:, :rows], val_c[:, :rows], h_all[:rows]
-            n = end
-            while m and steps[m - 1] <= n:
-                m -= 1
-
+    # The first m blocks are running; w, h, dw and vals view their rows.
+    m = len(steps)
+    w, h, dw, vals = np.concatenate(u0s), h_all, inc_c, val_c
     with np.errstate(all="ignore"):
         for n in range(0, n_max, cap):
             stop = min(n + cap, n_max)
             for inc, r0, r1, s in zip(incs, bounds, bounds[1:], steps):
                 if s > n:
                     inc_c[: min(stop, s) - n, r0:r1] = inc[:, n:stop].T
-            w = v
-            for chunk_steps, dw, vals, h in segments(n, stop):
-                w = w[: dw.shape[1]]
-                for j in chunk_steps:
-                    w = _raw_update(variant, eps, w, h, dw[j])
-                    vals[j] = w
+            v = w  # the running rows at the chunk's start
+            for j in range(stop - n):
+                if steps[m - 1] <= n + j:
+                    m = sum(s > n + j for s in steps)
+                    r = bounds[m]
+                    w, h, dw, vals = w[:r], h_all[:r], inc_c[:, :r], val_c[:, :r]
+                w = _raw_update(variant, eps, w, h, dw[j])
+                vals[j] = w
             chunk = val_c[: stop - n]
             if frozen.size:
                 chunk[:, frozen] = frozen_at
@@ -233,7 +224,6 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
                 blow[rows] = n + k + 1
                 frozen = np.concatenate([frozen, rows])
                 frozen_at = np.concatenate([frozen_at, at])
-            v = w
             for out, r0, r1, s in zip(outs, bounds, bounds[1:], steps):
                 if s > n:
                     out[:, n + 1 : min(stop, s) + 1] = val_c[: min(stop, s) - n, r0:r1].T

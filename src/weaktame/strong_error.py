@@ -272,8 +272,6 @@ def estimate_strong_error(
         raise ValueError(f"need 0 < eta < 1, got {eta}")
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"need 0 < alpha < 2, got {alpha}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
 
     ref_level = max(levels) + REFERENCE_EXTRA_LEVELS
     ref_grid = TimeGrid(horizon, ref_level)

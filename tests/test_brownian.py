@@ -62,7 +62,8 @@ def test_standard_normals_deterministic_and_split():
     assert np.array_equal(a, standard_normals(7, 0, 100))
     assert not np.array_equal(a, standard_normals(7, 1, 100))
     assert not np.array_equal(a, standard_normals(8, 0, 100))
-    assert standard_normals(7, 0, 0).shape == (0,)
+    empty = standard_normals(7, 0, 0)
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def test_standard_normals_rough_moments():

@@ -71,6 +71,21 @@ def test_state_validation():
         scalar_pair_state(1.0, h=-0.1)
 
 
+@pytest.mark.parametrize("d, k, message", [(0, 1, "state"), (1, 0, "observation")])
+def test_state_needs_a_state_and_an_observation_dimension(d, k, message):
+    # a 0-dimensional state would run a chain of empty iterates, and K = 0
+    # would fail later, inside sym_sqrt
+    with pytest.raises(ValueError, match=f"^{message} dimension must be >= 1$"):
+        EnsembleState(
+            mean=np.zeros(d),
+            anomalies=np.ones((2, d)),
+            forward_map=np.ones((k, d)),
+            observation=np.zeros(k),
+            noise_cov=np.eye(k),
+            h=0.1,
+        )
+
+
 def test_from_particles_round_trip():
     particles = np.array([[1.0, 2.0], [3.0, 0.0], [5.0, 4.0]])
     state = EnsembleState.from_particles(

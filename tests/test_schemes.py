@@ -348,17 +348,22 @@ def test_a_loop_that_leaves_the_range_redoes_at_most_the_steps_taken(
 
 
 # Step counts of the stacked blocks, in the order passed: equal counts, one
-# step, and counts on both sides of the range check's 64-step cap.
+# step, and counts on both sides of a 64-step chunk's end.
 STACKED_STEPS = [20, 1, 1024, 64, 3, 65, 10, 40, 64, 10]
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 64])
 @pytest.mark.parametrize("blow_block", [None, 1, 2, 7])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
-def test_stacked_blocks_match_one_call_per_block(monkeypatch, spec, blow_block):
+def test_stacked_blocks_match_one_call_per_block(monkeypatch, spec, blow_block, chunk):
     # Block k has its own h, rows (one row in block 3) and u0 (per row in
     # the odd blocks). With blow_block set, that block alone gets a
     # non-finite increment in its second row; naive_em rows near u0 = 2
-    # may blow up on their own.
+    # may blow up on their own. The 28 rows step in chunks of `chunk` steps
+    # (unpatched, all 1024 in one), so at 64 the two 64-step blocks end on
+    # a chunk's end and the 65-step block one step into the next chunk.
+    if chunk is not None:
+        monkeypatch.setattr(_batching, "_SCRATCH_BYTES", 8 * 28 * chunk)
     rng = np.random.default_rng(len(STACKED_STEPS) if blow_block is None else blow_block)
     blocks = []
     for k, n_steps in enumerate(STACKED_STEPS):
@@ -369,18 +374,21 @@ def test_stacked_blocks_match_one_call_per_block(monkeypatch, spec, blow_block):
         if k == blow_block:
             increments[1, n_steps // 2] = np.inf
         blocks.append((h, increments, u0))
+    assert sum(len(inc) for _, inc, _ in blocks) == 28
     calls = []
 
-    def counting(*args):
-        calls.append(None)
-        return _raw_update(*args)
+    def counting(variant, eps, u, h, dw):
+        calls.append(len(u))
+        return _raw_update(variant, eps, u, h, dw)
 
     monkeypatch.setattr(schemes, "_raw_update", counting)
     stacked = _integrate_blocks(spec, blocks)
     monkeypatch.undo()
     assert len(stacked) == len(blocks)
-    # one update per step of the longest block, blow-up or not
+    # one update per step of the longest block, of the rows still running,
+    # blow-up or not
     assert len(calls) == max(STACKED_STEPS)
+    assert sum(calls) == sum(inc.size for _, inc, _ in blocks)
     for (h, increments, u0), (values, blow) in zip(blocks, stacked):
         want, want_blow = integrate_increments(spec, h, increments, u0)
         assert values.tobytes() == want.tobytes()
