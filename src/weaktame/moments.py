@@ -214,9 +214,10 @@ def moment_tables(
 ) -> list[list[MomentReport]]:
     """moment_table for every grid, in ``grids`` order, from one batch pass.
 
-    One run_batches call (one worker pool) gets one call per sample batch,
-    which draws the batch once at the longest grid and runs every grid from
-    that draw; each grid's reports equal those of its own moment_table call.
+    One run_batches call (this process and one pool) gets one call per
+    sample batch, which draws the batch once at the longest grid and runs
+    every grid from that draw; each grid's reports equal those of its own
+    moment_table call.
     """
     ps = tuple(float(p) for p in ps)
     if not ps or not all(np.isfinite(p) and p > 0 for p in ps):

@@ -1,6 +1,9 @@
-"""Batch execution: pool sizing, result order and the bootstrap."""
+"""Batch execution: pool sizing, who runs which batch, result order, errors
+and the bootstrap."""
 
+import multiprocessing
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,35 +17,68 @@ def _pid_and(x):
 
 
 @pytest.mark.parametrize(
-    "workers, n_batches, pool_size", [(1, 10, 1), (4, 10, 4), (64, 3, 3), (10_000, 1, 1), (8, 0, 0)]
+    "workers, n_batches, pool_size", [(1, 10, 0), (4, 10, 3), (64, 3, 2), (10_000, 1, 0), (8, 0, 0)]
 )
 def test_pool_size_is_clamped_to_batch_count(monkeypatch, workers, n_batches, pool_size):
-    # A recording stand-in for the pool, which maps in this process: a pool
-    # of one process or none is never started, the batches run inline.
+    # A recording stand-in for the pool, which runs each submitted batch in
+    # this process: the caller is one of the workers, so the pool holds one
+    # process fewer than the batches or workers, and one of none is never
+    # started.
     started = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(_batching, "ProcessPoolExecutor", RecordingPool)
     args = [(i, 3) for i in range(n_batches)]
     assert run_batches(divmod, args, workers) == [divmod(i, 3) for i in range(n_batches)]
-    assert started == ([pool_size] if pool_size > 1 else [])
+    assert started == ([pool_size] if pool_size else [])
 
 
 def test_single_batch_runs_inline_whatever_the_worker_count():
     assert run_batches(_pid_and, [(7,)], workers=64) == [(os.getpid(), 7)]
     assert run_batches(_pid_and, [], workers=64) == []
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_caller_runs_every_workers_th_batch_and_the_pool_the_rest(workers):
+    results = run_batches(_pid_and, [(i,) for i in range(7)], workers)
+    assert [x for _, x in results] == list(range(7))
+    inline = [i for i, (pid, _) in enumerate(results) if pid == os.getpid()]
+    assert inline == list(range(0, 7, workers))
+    pooled = {pid for i, (pid, _) in enumerate(results) if i % workers}
+    assert 0 < len(pooled) <= workers - 1 and os.getpid() not in pooled
+    assert multiprocessing.active_children() == []
+
+
+def _fail_at(i, failing):
+    if i in failing:
+        raise ValueError(str(i))
+    return i
+
+
+@pytest.mark.parametrize(
+    "failing, raised",
+    [
+        ({1}, "1"),  # a pooled batch only
+        ({1, 2}, "1"),  # a pooled batch before one of the caller's
+        ({0}, "0"),  # the caller's first batch
+    ],
+)
+def test_the_lowest_failing_batch_raises_and_no_process_outlives_it(failing, raised):
+    with pytest.raises(ValueError) as caught:
+        run_batches(_fail_at, [(i, failing) for i in range(7)], workers=2)
+    assert str(caught.value) == raised
+    assert multiprocessing.active_children() == []
 
 
 def reference_draws(n, seed, tag):

@@ -199,6 +199,12 @@ def test_enkf_general_shape(capsys):
         (["moments", "--u0", "1e151", "--p", "1", "--levels", "1..2", "--M", "1024",
           "--workers", "2"], "u0"),
         (["blowup", "--u0=nan", "--M", "1024", "--workers", "2"], "u0"),
+        # ... and with the caller one of the two workers, at the reference
+        # (strong-error) and at the moments (both raise in every batch)
+        (["strong-error", "--u0", "1e160", "--levels", "1..4", "--M", "600",
+          "--workers", "2"], "u0 must lie in the range |u0| <= 1e+150"),
+        (["moments", "--u0=-1e160", "--levels", "1..2", "--M", "1100",
+          "--workers", "2"], "u0 must lie in the range |u0| <= 1e+150"),
         # the chain overflows; numpy warnings used to precede the error line
         (["enkf", "--J", "40", "--d", "3", "--K", "2", "--h", "1e308", "--steps", "3",
           "--workers", "1"], "anomalies must be finite"),
