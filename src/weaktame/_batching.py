@@ -4,11 +4,12 @@ Samples are split into contiguous fixed-size index ranges. Each batch is a
 pure function of (seed, start index, count), batches are merged strictly in
 index order, and any randomness beyond the sample streams (bootstrap draws)
 lives in the parent process. Aggregates are therefore byte-identical for any
-worker count, and at N workers the parent runs every N-th batch itself
-beside a pool of N - 1 processes. Both estimators' bootstraps run through
-``bootstrap``, which draws its resamples a few at a time, and report
-``half_width``. The blocked loops of ``schemes`` and ``enkf`` size their
-blocks from _SCRATCH_BYTES.
+worker count. At N workers the parent runs every N-th batch itself beside a
+pool of N - 1 processes: it walks the batches in index order, running its own
+and waiting on the pool's, and stops at the first failure. Both estimators'
+bootstraps run through ``bootstrap``, which draws its resamples a few at a
+time, and report ``half_width``. The blocked loops of ``schemes`` and ``enkf``
+size their blocks from _SCRATCH_BYTES.
 """
 
 from __future__ import annotations
@@ -77,38 +78,25 @@ def run_batches(
     The calling process is one of the ``workers``, which are never more than
     the batches (a fork-started pool launches all its processes up front): a
     pool of workers - 1 processes gets every batch whose index is not a
-    multiple of ``workers``, and once all are submitted the caller runs the
-    others itself, in index order. One worker means no pool (easier
-    tracebacks). The result order is that of ``args_per_batch``, which
-    downstream order-dependent merges rely on. A failure raises the
-    exception of the lowest-index batch that failed, once the pooled batches
-    that had not started are cancelled.
+    multiple of ``workers``, and once all are submitted the caller walks the
+    batches in index order, running its own and waiting on the pool's. One
+    worker means no pool (easier tracebacks). The result order is that of
+    ``args_per_batch``, which downstream order-dependent merges rely on. The
+    walk stops at the first failure it meets, so the exception raised is that
+    of the lowest-index batch that failed, the caller runs none of its later
+    batches, and the pooled batches that had not started are cancelled.
     """
     workers = min(workers, len(args_per_batch))
-    if workers <= 1:
-        return [worker(*args) for args in args_per_batch]
-    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    pool = ProcessPoolExecutor(max_workers=workers - 1) if workers > 1 else None
     try:
-        pooled = {
-            i: pool.submit(worker, *args)
+        futures = [
+            pool.submit(worker, *args) if pool and i % workers else None
             for i, args in enumerate(args_per_batch)
-            if i % workers
-        }
-        inline, failure = {}, None
-        for i in range(0, len(args_per_batch), workers):
-            try:
-                inline[i] = worker(*args_per_batch[i])
-            except Exception as exc:
-                failure = exc  # raised unless a pooled batch before i failed
-                break
-        results = []
-        for i in range(len(args_per_batch)):
-            if i in pooled:
-                results.append(pooled[i].result())
-            elif i in inline:
-                results.append(inline[i])
-            else:
-                raise failure
-        return results
+        ]
+        return [
+            worker(*args) if future is None else future.result()
+            for future, args in zip(futures, args_per_batch)
+        ]
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool:
+            pool.shutdown(cancel_futures=True)

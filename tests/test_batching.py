@@ -17,7 +17,16 @@ def _pid_and(x):
 
 
 @pytest.mark.parametrize(
-    "workers, n_batches, pool_size", [(1, 10, 0), (4, 10, 3), (64, 3, 2), (10_000, 1, 0), (8, 0, 0)]
+    "workers, n_batches, pool_size",
+    [
+        (1, 10, 0),
+        (4, 10, 3),
+        (64, 3, 2),
+        (10_000, 1, 0),
+        (8, 0, 0),
+        (0, 5, 0),  # worker counts below one run inline
+        (-3, 5, 0),
+    ],
 )
 def test_pool_size_is_clamped_to_batch_count(monkeypatch, workers, n_batches, pool_size):
     # A recording stand-in for the pool, which runs each submitted batch in
@@ -78,6 +87,25 @@ def test_the_lowest_failing_batch_raises_and_no_process_outlives_it(failing, rai
     with pytest.raises(ValueError) as caught:
         run_batches(_fail_at, [(i, failing) for i in range(7)], workers=2)
     assert str(caught.value) == raised
+    assert multiprocessing.active_children() == []
+
+
+# The batches run by this process: a pooled batch appends to its child's copy.
+CALLER_CALLS = []
+
+
+def _record_and_fail_at(i, failing):
+    CALLER_CALLS.append(i)
+    return _fail_at(i, failing)
+
+
+def test_the_caller_runs_none_of_its_batches_past_a_failure():
+    # The caller waits on pooled batch 1 before it runs its own batch 2, so
+    # batch 1's failure stops it after batch 0.
+    CALLER_CALLS.clear()
+    with pytest.raises(ValueError, match="^1$"):
+        run_batches(_record_and_fail_at, [(i, {1}) for i in range(7)], workers=2)
+    assert CALLER_CALLS == [0]
     assert multiprocessing.active_children() == []
 
 

@@ -15,7 +15,9 @@ output file holds the environment line of the runs, every pair's metrics and,
 per workload and metric, each side's median and quartiles and the number of
 pairs the change won (ties count for neither side); it is rewritten after
 every pair. Run it again with other workloads and the same base, seed,
-seconds and trace to add them to the file.
+seconds and trace to add them to the file. Once the file is written, each run
+in it that was not correct or had failed operations gets one line on stderr,
+and the exit status is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -169,7 +171,16 @@ def main(argv=None) -> int:
             summary = summarize(pairs, better)
             record["workloads"][workload] = {"pairs": pairs, "summary": summary}
             args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    return 0
+    bad = 0
+    for workload, entry in record["workloads"].items():
+        for i, pair in enumerate(entry["pairs"]):
+            for side in SIDES:
+                run = pair[side]
+                if not run["correct"] or run["failed"] > 0:
+                    print(f"{workload} pair {i + 1} {side}: correct {run['correct']}, "
+                          f"failed {run['failed']} of {run['attempted']}", file=sys.stderr)
+                    bad += 1
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
