@@ -136,21 +136,19 @@ def increment_block(
 
 
 def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Block sums of ``increments`` along the last axis.
+    """Block sums of ``increments`` along the last axis, for a power-of-two
+    ``factor`` (1 included).
 
-    Power-of-two factors are reduced by repeated pairwise halving, so
-    coarsening by 2 then 2 is bitwise the same as coarsening by 4.
+    The sums are formed by repeated pairwise halving, so coarsening by 2 then
+    2 is bitwise the same as coarsening by 4.
     """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
+    if factor < 1 or factor & (factor - 1):
+        raise ValueError(f"factor must be a power of two, got {factor}")
     n = increments.shape[-1]
     if n % factor:
         raise ValueError(f"factor {factor} does not divide {n} increments")
     out = increments
-    remaining = factor
-    while remaining % 2 == 0:
+    while factor > 1:
         out = out[..., 0::2] + out[..., 1::2]
-        remaining //= 2
-    if remaining > 1:
-        out = out.reshape(*out.shape[:-1], -1, remaining).sum(axis=-1)
+        factor //= 2
     return out

@@ -6,7 +6,7 @@ main table goes to that file and the fully-resolved config is written next to
 it as <output stem>.config.json; without --output everything goes to stdout.
 
 Exit codes: 0 success, 1 when a property check fails, 2 for usage errors
-(including runs too large for memory).
+(including runs too large for memory, and a worker process that died).
 Environment variables WEAKTAME_SEED and WEAKTAME_WORKERS supply defaults for
 --seed and --workers; explicit flags win.
 """
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,7 +221,7 @@ def _run_moments(config: ExperimentConfig) -> int:
     rows = []
     by_p: dict[float, list[tuple[float, float]]] = {}
     grids = [TimeGrid(config.horizon, level, 1) for level in config.levels]
-    tables = moments.moment_tables(
+    tables = moments.moment_table(
         spec,
         grids,
         config.p_values,
@@ -488,6 +489,10 @@ def main(argv=None) -> int:
         # size; a flag's tuple that outgrows memory fails with no message
         detail = f": {exc}" if str(exc) else ""
         print(f"error: run too large for memory{detail}", file=sys.stderr)
+        return 2
+    except BrokenProcessPool:
+        # a killed worker, most often by the kernel's out-of-memory killer
+        print("error: a worker process died (out of memory?)", file=sys.stderr)
         return 2
 
 

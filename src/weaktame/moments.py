@@ -2,7 +2,8 @@
 
 Monte Carlo estimates run over batches of coupled-free independent paths;
 batches are fixed-size contiguous sample ranges so aggregates are worker-count
-independent (see _batching). Saturated nodes are excluded from moment sums,
+independent (see _batching). moment_table runs every grid of a table from
+one pass over the batches. Saturated nodes are excluded from moment sums,
 blown-up paths are counted, and the raw p-th powers are reported without
 1/p normalization.
 """
@@ -26,7 +27,6 @@ from .schemes import (
 __all__ = [
     "MomentReport",
     "moment_table",
-    "moment_tables",
     "node_second_moments",
     "second_moment_recursion_check",
     "em_blowup_profile",
@@ -203,7 +203,7 @@ def _merge_moments(results, ps, n_samples: int, seed: int) -> list[MomentReport]
     ]
 
 
-def moment_tables(
+def moment_table(
     spec: SchemeSpec,
     grids,
     ps,
@@ -212,31 +212,19 @@ def moment_tables(
     u0: float = 1.0,
     workers: int = 1,
 ) -> list[list[MomentReport]]:
-    """moment_table for every grid, in ``grids`` order, from one batch pass.
+    """MomentReports for several orders p on every grid, in ``grids`` order,
+    from one batch pass.
 
     One run_batches call (this process and one pool) gets one call per
     sample batch, which draws the batch once at the longest grid and runs
-    every grid from that draw; each grid's reports equal those of its own
-    moment_table call.
+    every grid from that draw; each grid's reports equal those of a one-grid
+    call.
     """
     ps = tuple(float(p) for p in ps)
     if not ps or not all(np.isfinite(p) and p > 0 for p in ps):
         raise ValueError("moment orders must be finite and positive")
     per_grid = _grid_batches(_moment_batch, spec, grids, n_samples, seed, u0, workers, ps)
     return [_merge_moments(results, ps, n_samples, seed) for results in per_grid]
-
-
-def moment_table(
-    spec: SchemeSpec,
-    grid: TimeGrid,
-    ps,
-    n_samples: int,
-    seed: int,
-    u0: float = 1.0,
-    workers: int = 1,
-) -> list[MomentReport]:
-    """MomentReports for several orders p from one simulation pass."""
-    return moment_tables(spec, (grid,), ps, n_samples, seed, u0=u0, workers=workers)[0]
 
 
 def node_second_moments(

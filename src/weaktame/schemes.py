@@ -258,16 +258,15 @@ def interpolant_increments(
     fine_increments: np.ndarray,
     h_fine: float,
     *,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-coefficient interpolant of coarse trajectories on the fine grid.
 
     coarse_values is (B, Nc+1), fine_increments (B, Nf) with Nf a multiple of
     Nc. Coarse nodes are copied, so the interpolant matches the trajectory
-    there bit for bit. Returns (values (B, Nf+1), saturated_row (B,) bool).
-    ``out``, a float64 (B, Nf+1) array with contiguous rows, receives the
-    values and is returned, unless a row saturated: the clamped values are
-    then a new array.
+    there bit for bit. ``out``, a float64 (B, Nf+1) array with contiguous
+    rows, receives the values, saturated rows clamped. Returns (out,
+    saturated_row (B,) bool).
     """
     coarse_values = np.asarray(coarse_values, dtype=np.float64)
     fine_increments = np.asarray(fine_increments, dtype=np.float64)
@@ -281,14 +280,10 @@ def interpolant_increments(
     if nc < 1 or nf % nc:
         raise ValueError(f"{nf} fine steps do not refine {nc} coarse steps")
     factor = nf // nc
-    if out is None:
-        values = np.empty((n_batch, nf + 1), dtype=np.float64)
-    elif out.shape != (n_batch, nf + 1) or out.dtype != np.float64 or out.strides[1] != 8:
+    if out.shape != (n_batch, nf + 1) or out.dtype != np.float64 or out.strides[1] != 8:
         raise ValueError(
             f"out must be a float64 {(n_batch, nf + 1)} array with contiguous rows"
         )
-    else:
-        values = out
 
     v_left = coarse_values[:, :-1]
     with np.errstate(all="ignore"):
@@ -300,7 +295,7 @@ def interpolant_increments(
         # Both additions commute, so s*partial may be formed first.
         fine_cells = fine_increments.reshape(n_batch, nc, factor)
         offsets = h_fine * np.arange(1, factor, dtype=np.float64)
-        cells = values[:, :nf].reshape(n_batch, nc, factor)  # views
+        cells = out[:, :nf].reshape(n_batch, nc, factor)  # views
         cells[:, :, 0] = v_left
         if factor <= 4:
             # One (B, nc) pass per offset: broadcast updates would run numpy
@@ -320,15 +315,15 @@ def interpolant_increments(
             drift = np.multiply(offsets, f_left[:, :, None])
             drift += v_left[:, :, None]
             inner += drift
-        values[:, nf] = coarse_values[:, -1]
+        out[:, nf] = coarse_values[:, -1]
 
         # Row extremes flag NaN too (max and min propagate it), without an
         # elementwise pass over the rows that stay in range.
         saturated_row = ~(
-            (values.max(axis=1) <= SATURATION_LIMIT)
-            & (values.min(axis=1) >= -SATURATION_LIMIT)
+            (out.max(axis=1) <= SATURATION_LIMIT)
+            & (out.min(axis=1) >= -SATURATION_LIMIT)
         )
         if saturated_row.any():
             # A NaN takes the sign of its cell's left coarse node.
-            values = _saturate(values, coarse_values[:, np.arange(nf + 1) // factor])
-    return values, saturated_row
+            out[...] = _saturate(out, coarse_values[:, np.arange(nf + 1) // factor])
+    return out, saturated_row

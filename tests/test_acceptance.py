@@ -69,19 +69,17 @@ def strong_error_w1():
     )
 
 
+def moment_tables_by_level(workers):
+    grids = [TimeGrid(1.0, level, 1) for level in STRONG_LEVELS]
+    tables = moment_table(
+        WEAK_TAMED_ENKF, grids, MOMENT_ORDERS, MOMENT_SAMPLES, MOMENT_SEED, workers=workers
+    )
+    return dict(zip(STRONG_LEVELS, tables))
+
+
 @pytest.fixture(scope="module")
 def moment_tables_w1():
-    return {
-        level: moment_table(
-            WEAK_TAMED_ENKF,
-            TimeGrid(1.0, level, 1),
-            MOMENT_ORDERS,
-            MOMENT_SAMPLES,
-            MOMENT_SEED,
-            workers=1,
-        )
-        for level in STRONG_LEVELS
-    }
+    return moment_tables_by_level(workers=1)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +111,7 @@ def test_check_1_weak_tamed_equals_regularized_euler_bitwise():
 def test_check_2_pair_ensemble_reduces_to_scalar_scheme_bitwise():
     n_steps = 1000
     h_cycle = (0.25, 0.125, 0.0625)
+    q0s, q_seqs, dw_rows = [], [], []
     for r in range(1000):
         h = h_cycle[r % 3]
         q0 = float(standard_normals(500, r, 1)[0]) + 1.5
@@ -124,13 +123,20 @@ def test_check_2_pair_ensemble_reduces_to_scalar_scheme_bitwise():
             noise_cov=np.eye(1),
             h=h,
         )
-        q_seq = reduce_to_q(run_chain(state, n_steps, seed=600, chain_index=r))
+        q_seqs.append(reduce_to_q(run_chain(state, n_steps, seed=600, chain_index=r)))
 
         draws = standard_normals(600, r, n_steps * 2).reshape(n_steps, 2, 1)
-        dw = np.sqrt(h) * ((draws[:, 0, 0] - draws[:, 1, 0]) / 2.0)
-        values, blow = integrate_increments(WEAK_TAMED_ENKF, h, dw[None, :], q0)
-        assert blow[0] == -1
-        assert np.array_equal(q_seq, values[0])
+        dw_rows.append(np.sqrt(h) * ((draws[:, 0, 0] - draws[:, 1, 0]) / 2.0))
+        q0s.append(q0)
+
+    # the scalar scheme steps every chain of one h as a row of one batch
+    for first, h in enumerate(h_cycle):
+        chains = range(first, 1000, len(h_cycle))
+        dw = np.stack([dw_rows[r] for r in chains])
+        values, blow = integrate_increments(WEAK_TAMED_ENKF, h, dw, np.array([q0s[r] for r in chains]))
+        for row, r in enumerate(chains):
+            assert blow[row] == -1
+            assert np.array_equal(q_seqs[r], values[row])
 
 
 def test_check_3_one_sided_identity_residual_sweep():
@@ -216,17 +222,7 @@ def test_check_9_report_bytes_invariant_under_worker_count(
     csv_w1 = reports.strong_error_csv(strong_error_w1).encode("utf-8")
     assert reports.strong_error_csv(rerun).encode("utf-8") == csv_w1
 
-    rerun_tables = {
-        level: moment_table(
-            WEAK_TAMED_ENKF,
-            TimeGrid(1.0, level, 1),
-            MOMENT_ORDERS,
-            MOMENT_SAMPLES,
-            MOMENT_SEED,
-            workers=4,
-        )
-        for level in STRONG_LEVELS
-    }
+    rerun_tables = moment_tables_by_level(workers=4)
     csv_w1 = reports.moments_csv(moment_rows(moment_tables_w1)).encode("utf-8")
     assert reports.moments_csv(moment_rows(rerun_tables)).encode("utf-8") == csv_w1
 

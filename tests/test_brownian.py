@@ -152,16 +152,14 @@ def test_coarsen_increments_power_of_two_is_staged_pairwise():
 
 
 def _reshape_sum_coarsen(x, factor):
-    # block sums as reshape(..., 2).sum(-1) halvings, then one odd block sum
-    while factor % 2 == 0:
+    # block sums as reshape(..., 2).sum(-1) halvings
+    while factor > 1:
         x = x.reshape(*x.shape[:-1], -1, 2).sum(axis=-1)
         factor //= 2
-    if factor > 1:
-        x = x.reshape(*x.shape[:-1], -1, factor).sum(axis=-1)
     return x
 
 
-@pytest.mark.parametrize("factor", [2**k for k in range(1, 11)] + [3, 6])
+@pytest.mark.parametrize("factor", [2**k for k in range(11)])
 def test_coarsen_increments_matches_reshape_sum(factor):
     rng = np.random.default_rng(factor)
     x = rng.normal(size=(4, 3 * 2048))
@@ -173,7 +171,15 @@ def test_coarsen_increments_matches_reshape_sum(factor):
 
 def test_coarsen_rejects_non_divisor():
     increments = sample_path(5, 2, TimeGrid(1.0, 2, 3))  # 12 steps
-    with pytest.raises(ValueError):
-        coarsen_increments(increments, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not divide"):
+        coarsen_increments(increments, 8)
+    with pytest.raises(ValueError, match="power of two"):
         coarsen_increments(increments, 0)
+
+
+@pytest.mark.parametrize("factor", [3, 6, 12, -2])
+def test_coarsen_rejects_factors_that_are_not_powers_of_two(factor):
+    # every factor divides the 12 steps but is no power of two
+    increments = sample_path(5, 2, TimeGrid(1.0, 2, 3))
+    with pytest.raises(ValueError, match="power of two"):
+        coarsen_increments(increments, factor)

@@ -1,6 +1,7 @@
 """Driver-level tests: argument handling, CSV/JSON output, exit codes."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from weaktame import cli
+from weaktame import cli, moments
 
 RATES_EXPECTED = (
     "alpha_or_eta,exponent,source_formula\n"
@@ -313,6 +314,31 @@ def test_strong_error_fit_failure_exits_2_without_a_table(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert "positive-error levels" in captured.err
     assert not out.exists() and not out.with_suffix(".config.json").exists()
+
+
+_every_grid_batch = moments._every_grid_batch
+
+
+def _die_in_a_worker(*args):
+    # a pooled batch ends its process the way the out-of-memory killer would
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _every_grid_batch(*args)
+
+
+def test_a_dead_worker_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # 4 batches at 2 workers: one child runs batches 1 and 3, and dies at 1
+    monkeypatch.setattr(moments, "_every_grid_batch", _die_in_a_worker)
+    out = tmp_path / "m.csv"
+    argv = ["moments", "--levels", "4..6", "--M", "2048", "--workers", "2", "--p", "2",
+            "-o", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a worker process died (out of memory?)\n"
+    assert "Traceback" not in captured.err
+    assert not out.exists() and not out.with_suffix(".config.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("blocked", ["table", "sidecar"])

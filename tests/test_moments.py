@@ -10,7 +10,6 @@ from weaktame.brownian import TimeGrid, increment_block
 from weaktame.moments import (
     em_blowup_profile,
     moment_table,
-    moment_tables,
     node_second_moments,
     second_moment_recursion_check,
 )
@@ -48,7 +47,7 @@ def test_recursion_check_validation():
 
 def test_weak_tamed_report_small():
     grid = TimeGrid(1.0, 3, 1)
-    (rep,) = moment_table(WEAK_TAMED_ENKF, grid, (2.0,), 1200, seed=5)
+    ((rep,),) = moment_table(WEAK_TAMED_ENKF, [grid], (2.0,), 1200, seed=5)
     # second moment decays from u0, so the node sup sits at t=0 and equals u0^2
     assert rep.sup_of_mean == 1.0
     assert rep.sup_of_mean_ci == 0.0
@@ -60,7 +59,7 @@ def test_weak_tamed_report_small():
 
 def test_naive_em_diverges_from_large_start():
     grid = TimeGrid(1.0, 0, 10)
-    (rep,) = moment_table(NAIVE_EM, grid, (2.0,), 600, seed=5, u0=10.0)
+    ((rep,),) = moment_table(NAIVE_EM, [grid], (2.0,), 600, seed=5, u0=10.0)
     assert rep.blowup_fraction > 0.99
     assert rep.sup_of_mean > 1e50
     assert rep.mean_of_sup > 1e50
@@ -69,11 +68,11 @@ def test_naive_em_diverges_from_large_start():
 def test_moment_table_validation():
     grid = TimeGrid(1.0, 2, 1)
     with pytest.raises(ValueError):
-        moment_table(WEAK_TAMED_ENKF, grid, (), 100, seed=0)
+        moment_table(WEAK_TAMED_ENKF, [grid], (), 100, seed=0)
     with pytest.raises(ValueError):
-        moment_table(WEAK_TAMED_ENKF, grid, (1.0, -2.0), 100, seed=0)
+        moment_table(WEAK_TAMED_ENKF, [grid], (1.0, -2.0), 100, seed=0)
     with pytest.raises(ValueError):
-        moment_table(WEAK_TAMED_ENKF, grid, (2.0,), 0, seed=0)
+        moment_table(WEAK_TAMED_ENKF, [grid], (2.0,), 0, seed=0)
 
 
 @pytest.mark.parametrize("ps", [(np.nan,), (1.0, np.inf), (-np.inf,)])
@@ -84,23 +83,23 @@ def test_non_finite_orders_are_rejected_before_simulating(ps, monkeypatch):
     monkeypatch.setattr(moments, "run_batches", no_simulation)
     grids = [TimeGrid(1.0, 2, 1), TimeGrid(1.0, 3, 1)]
     with pytest.raises(ValueError, match="finite and positive"):
-        moment_table(WEAK_TAMED_ENKF, grids[0], ps, 100, seed=0)
+        moment_table(WEAK_TAMED_ENKF, grids[:1], ps, 100, seed=0)
     with pytest.raises(ValueError, match="finite and positive"):
-        moment_tables(WEAK_TAMED_ENKF, grids, ps, 100, seed=0)
+        moment_table(WEAK_TAMED_ENKF, grids, ps, 100, seed=0)
 
 
 def test_moment_table_matches_single_order_calls():
     grid = TimeGrid(1.0, 3, 1)
-    table = moment_table(WEAK_TAMED_ENKF, grid, (1.0, 2.5), 1100, seed=17)
+    (table,) = moment_table(WEAK_TAMED_ENKF, [grid], (1.0, 2.5), 1100, seed=17)
     for rep in table:
-        (solo,) = moment_table(WEAK_TAMED_ENKF, grid, (rep.p,), 1100, seed=17)
+        ((solo,),) = moment_table(WEAK_TAMED_ENKF, [grid], (rep.p,), 1100, seed=17)
         assert solo == rep
 
 
 def test_moment_table_worker_count_invariant():
     grid = TimeGrid(1.0, 3, 1)
-    a = moment_table(WEAK_TAMED_ENKF, grid, (1.0, 2.0), 1300, seed=3, workers=1)
-    b = moment_table(WEAK_TAMED_ENKF, grid, (1.0, 2.0), 1300, seed=3, workers=2)
+    a = moment_table(WEAK_TAMED_ENKF, [grid], (1.0, 2.0), 1300, seed=3, workers=1)
+    b = moment_table(WEAK_TAMED_ENKF, [grid], (1.0, 2.0), 1300, seed=3, workers=2)
     assert a == b
 
 
@@ -258,7 +257,7 @@ def test_batched_bootstrap_matches_the_per_resample_loop(spec, u0, n_samples, le
     grid = TimeGrid(1.0, level, 1)
     seed = 11
     ps = (1.0, 2.0, 2.5)
-    got = moment_table(spec, grid, ps, n_samples, seed, u0=u0)
+    (got,) = moment_table(spec, [grid], ps, n_samples, seed, u0=u0)
     want = reference_moment_table(spec, grid, ps, n_samples, seed, u0)
     # repr compares every field, sup_of_mean_ci included, NaN and -0.0 too
     assert repr(got) == repr(want)
@@ -282,14 +281,14 @@ def test_one_pass_over_grids_matches_per_grid_tables(workers):
     # unsorted levels with one repeated, as from --levels 6,4,6
     grids = [TimeGrid(1.0, level, 1) for level in (6, 4, 6)]
     ps = (1.0, 2.0)
-    tables = moment_tables(NAIVE_EM, grids, ps, 1100, seed=5, u0=3.0, workers=workers)
-    singles = [moment_table(NAIVE_EM, g, ps, 1100, seed=5, u0=3.0) for g in grids]
+    tables = moment_table(NAIVE_EM, grids, ps, 1100, seed=5, u0=3.0, workers=workers)
+    singles = [moment_table(NAIVE_EM, [g], ps, 1100, seed=5, u0=3.0)[0] for g in grids]
     assert repr(tables) == repr(singles)
     assert tables[0][0].blowup_fraction > 0.0
 
 
 def test_no_grids_give_no_tables():
-    assert moment_tables(NAIVE_EM, [], (1.0,), 10, seed=0) == []
+    assert moment_table(NAIVE_EM, [], (1.0,), 10, seed=0) == []
     assert em_blowup_profile([], 3.0, 10, seed=0) == []
 
 
@@ -315,6 +314,21 @@ def test_moments_cli_runs_every_level_in_one_inline_batch_pass(monkeypatch, caps
     assert calls[0] == [(0, 512, every_level), (512, 88, every_level)]
     lines = capsys.readouterr().out.splitlines()
     assert [float(ln.split(",")[1]) for ln in lines[1::3]] == [2.0**-k for k in range(1, 8)]
+
+
+def test_moments_cli_makes_one_moment_table_call_with_every_grid(monkeypatch, capsys):
+    calls = []
+    library_moment_table = moments.moment_table
+
+    def counting_moment_table(spec, grids, *args, **kwargs):
+        calls.append([g.n_steps for g in grids])
+        return library_moment_table(spec, grids, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "moment_table", counting_moment_table)
+    argv = ["moments", "--levels", "6,4,6", "--M", "100", "--seed", "2", "--workers", "1"]
+    assert cli.main(argv) == 0
+    assert calls == [[64, 16, 64]]
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 3
 
 
 def test_blowup_profile_runs_every_step_size_in_one_pass(monkeypatch):

@@ -196,13 +196,17 @@ def test_batch_engine_repairs_nan_with_previous_sign():
     assert np.all(values[0, 2:] == -SATURATION_LIMIT)
 
 
+def interpolate(spec, coarse_values, h_coarse, fine, h_fine):
+    """interpolant_increments into a fresh buffer."""
+    out = np.empty((fine.shape[0], fine.shape[1] + 1))
+    return interpolant_increments(spec, coarse_values, h_coarse, fine, h_fine, out=out)
+
+
 def test_interpolant_identity_at_factor_one():
     grid = TimeGrid(1.0, 4, 1)
     increments = row(4, 7, grid)
     values, _ = integrate_increments(WEAK_TAMED_ENKF, grid.h, increments, 1.0)
-    same, saturated = interpolant_increments(
-        WEAK_TAMED_ENKF, values, grid.h, increments, grid.h
-    )
+    same, saturated = interpolate(WEAK_TAMED_ENKF, values, grid.h, increments, grid.h)
     assert np.array_equal(same, values)
     assert not saturated[0]
 
@@ -214,7 +218,7 @@ def test_interpolant_copies_coarse_nodes_bitwise():
     h_coarse = 4 * fine_grid.h
     for spec in ALL_SPECS:
         values, _ = integrate_increments(spec, h_coarse, coarse, 1.1)
-        interp, _ = interpolant_increments(spec, values, h_coarse, fine, fine_grid.h)
+        interp, _ = interpolate(spec, values, h_coarse, fine, fine_grid.h)
         assert interp.shape == (1, fine_grid.n_steps + 1)
         assert np.array_equal(interp[:, ::4], values)
 
@@ -227,7 +231,7 @@ def test_interpolant_zero_noise_midpoint():
     coarse, _ = integrate_increments(
         WEAK_TAMED_ENKF, 1.0, coarsen_increments(quiet_fine, 2), v0
     )
-    interp, _ = interpolant_increments(WEAK_TAMED_ENKF, coarse, 1.0, quiet_fine, 0.5)
+    interp, _ = interpolate(WEAK_TAMED_ENKF, coarse, 1.0, quiet_fine, 0.5)
     frozen_drift = -(v0**3) / (1.0 + 1.0 * v0**2)
     assert interp[0, 1] == pytest.approx(v0 + 0.5 * frozen_drift, rel=1e-15)
 
@@ -236,7 +240,7 @@ def test_interpolant_inherits_coarse_blowup():
     quiet = np.zeros((1, 10))  # fine h = 0.1, coarse h = 0.2
     coarse, blow = integrate_increments(NAIVE_EM, 0.2, coarsen_increments(quiet, 2), 10.0)
     assert blow[0] > 0
-    interp, saturated = interpolant_increments(NAIVE_EM, coarse, 0.2, quiet, 0.1)
+    interp, saturated = interpolate(NAIVE_EM, coarse, 0.2, quiet, 0.1)
     assert saturated[0]
     assert np.all(np.abs(interp[0, 2 * blow[0] :]) == SATURATION_LIMIT)
 
@@ -246,7 +250,7 @@ def test_interpolant_nan_takes_the_sign_of_its_cells_left_coarse_node(factor):
     coarse = np.array([[1.0, -1.0, 2.0]])
     fine = np.full((1, 2 * factor), 0.1)
     fine[0, factor] = np.nan  # the second cell's first fine step
-    interp, saturated = interpolant_increments(NAIVE_EM, coarse, 1.0, fine, 1.0 / factor)
+    interp, saturated = interpolate(NAIVE_EM, coarse, 1.0, fine, 1.0 / factor)
     assert saturated[0]
     assert np.isfinite(interp[0, : factor + 1]).all() and interp[0, factor] == -1.0
     assert np.all(interp[0, factor + 1 : 2 * factor] == -SATURATION_LIMIT)
@@ -456,32 +460,36 @@ def broadcast_interpolant_nodes(spec, coarse_values, h_coarse, fine, h_fine):
 
 @pytest.mark.parametrize("factor", [1, 2, 3, 4, 5, 8, 16, 1024])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
-def test_interpolant_into_a_buffer_matches_the_allocating_call(spec, factor):
+def test_interpolant_into_a_buffer_matches_the_broadcast_nodes(spec, factor):
     nc = max(1, 64 // factor)
     h_fine = 1.0 / (nc * factor)
     h_coarse = factor * h_fine
     fine = increment_block(5, 0, 6, TimeGrid(1.0, 0, nc * factor))
-    coarse, _ = integrate_increments(spec, h_coarse, coarsen_increments(fine, factor), 1.2)
+    coarse_inc = fine.reshape(6, nc, factor).sum(axis=2)  # any factor, not only 2**k
+    coarse, _ = integrate_increments(spec, h_coarse, coarse_inc, 1.2)
     want = broadcast_interpolant_nodes(spec, coarse, h_coarse, fine, h_fine)
     # a wider buffer, written through a view of its leading block
     buf = np.full((8, nc * factor + 5), np.pi)
     out = buf[:6, : nc * factor + 1]
-    got, sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine, out=out)
-    alloc, alloc_sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine)
-    assert got is out and not sat.any() and not alloc_sat.any()
-    assert got.tobytes() == alloc.tobytes() == want.tobytes()
-    assert (buf[6:] == np.pi).all() and (buf[:, nc * factor + 1 :] == np.pi).all()
 
-    # one saturated row: the clamped values are a new array, still right
+    def untouched_outside_out():
+        return (buf[6:] == np.pi).all() and (buf[:, nc * factor + 1 :] == np.pi).all()
+
+    got, sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine, out=out)
+    assert got is out and not sat.any()
+    assert got.tobytes() == want.tobytes()
+    assert untouched_outside_out()
+
+    # one saturated row: its clamped values go into the same buffer
     coarse[1, -1] = 2 * SATURATION_LIMIT
     got, sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine, out=out)
-    alloc, alloc_sat = interpolant_increments(spec, coarse, h_coarse, fine, h_fine)
-    assert got is not out
-    assert sat.tolist() == alloc_sat.tolist() == [False, True, False, False, False, False]
-    assert got.tobytes() == alloc.tobytes()
+    assert got is out
+    assert sat.tolist() == [False, True, False, False, False, False]
     assert got[1, -1] == SATURATION_LIMIT
-    unsaturated = [0, 2, 3, 4, 5]
-    assert got[unsaturated].tobytes() == want[unsaturated].tobytes()
+    want = broadcast_interpolant_nodes(spec, coarse, h_coarse, fine, h_fine)
+    signs = coarse[:, np.arange(nc * factor + 1) // factor]
+    assert got.tobytes() == schemes._saturate(want, signs).tobytes()
+    assert untouched_outside_out()
 
 
 def test_interpolant_rejects_a_mismatched_buffer():

@@ -89,7 +89,8 @@ def reference_error_batch(work, ref_grid, eta, alpha, u0, seed, start, count):
             run_spec, h_coarse, coarse_inc, u0
         )
         interp, interp_sat = interpolant_increments(
-            run_spec, coarse_values, h_coarse, fine_increments, h_ref
+            run_spec, coarse_values, h_coarse, fine_increments, h_ref,
+            out=np.empty((count, ref_grid.n_steps + 1)),
         )
         err = np.abs(interp - ref_values)
         sup_err = err.max(axis=1)
