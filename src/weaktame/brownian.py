@@ -21,7 +21,6 @@ __all__ = [
     "coarsen_increments",
 ]
 
-_U64_MASK = (1 << 64) - 1
 # float64 items one array can hold: numpy caps an array at intp.max bytes.
 _MAX_FLOAT64_ITEMS = np.iinfo(np.intp).max // 8
 
@@ -68,10 +67,12 @@ class TimeGrid:
 
 
 def _stream_key(seed: int, stream: int) -> np.ndarray:
-    """Philox key of the stream (seed, stream); every generator is keyed here."""
-    return np.array(
-        [int(seed) & _U64_MASK, int(stream) & _U64_MASK], dtype=np.uint64
-    )
+    """Philox key of the stream (seed, stream); every generator is keyed here.
+    Both are 64-bit words, never reduced onto another seed's streams."""
+    for name, word in (("seed", seed), ("stream index", stream)):
+        if not 0 <= word < 1 << 64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {word}")
+    return np.array([seed, stream], dtype=np.uint64)
 
 
 def _normals_from_words(raw: np.ndarray) -> np.ndarray:

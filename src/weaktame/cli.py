@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -135,22 +136,30 @@ def _scheme_from_config(config: ExperimentConfig) -> schemes.SchemeSpec:
 
 
 def _deliver(config: ExperimentConfig, text: str) -> None:
-    """The table to stdout, or to the -o path with its sidecar. A table
-    whose sidecar cannot be written is removed again, so a failed write
-    leaves neither file."""
+    """The table to stdout, or to the -o path with its sidecar. Both are
+    written to temporary files beside their targets and renamed into place,
+    the sidecar first, only once both writes succeeded: a failed write leaves
+    no new file, and a table already at the path stays as it was."""
     if config.output_path is None:
         sys.stdout.write(text)
         return
-    out = Path(config.output_path)
+    target = out = Path(config.output_path)
+    temps = {}
     try:
-        out.write_bytes(text.encode("utf-8"))
-        try:
-            out.with_suffix(".config.json").write_bytes(emit_config(config).encode("utf-8"))
-        except OSError:
-            out.unlink()
-            raise
+        # "" and "/" are directories too, and have no sidecar name
+        if out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        sidecar = out.with_suffix(".config.json")
+        for target, data in ((out, text), (sidecar, emit_config(config))):
+            temps[target] = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            temps[target].write_bytes(data.encode("utf-8"))
+        for target in (sidecar, out):
+            os.replace(temps[target], target)
+            del temps[target]
     except OSError as exc:
-        raise UsageError(f"cannot write {exc.filename!r}: {exc.strerror}") from None
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise UsageError(f"cannot write {str(target)!r}: {exc.strerror}") from None
 
 
 def _gate(

@@ -110,9 +110,11 @@ def _error_task(
     alpha: float,
     u0: float,
     seed: int,
-    units: tuple[tuple[int, int], ...],
+    first_row: int,
+    n_rows: int,
 ):
-    """Error accumulation for contiguous merge units, streamed over time.
+    """Error accumulation for rows first_row .. first_row+n_rows-1, streamed
+    over time, in merge units of ERROR_BATCH_SIZE consecutive rows.
 
     ``work`` lists (level, scheme) pairs coarsest first, none finer than the
     reference. The task walks the reference grid in windows of whole coarsest
@@ -125,16 +127,14 @@ def _error_task(
     still in cache. So nothing as wide as the reference grid is held but the
     node sums.
 
-    Returns (sup_powers (len(work), rows), node_power_sums (units, len(work),
-    Nref+1), blowups (units, len(work))), bitwise the same as reducing each
+    Returns (sup_powers (len(work), n_rows), node_power_sums (units, len(work),
+    Nref+1), blowup counts (len(work),)), bitwise the same as reducing each
     unit alone at full width: the schemes, coarsening and interpolant act
     within a step or cell, max is exact, and a unit's column sums add its rows
     in the same order in any block at least two columns wide. A reference
     blow-up raises ValueError: only inputs that overflow float64 cause one.
     """
-    first_row = units[0][0]
-    n_rows = sum(count for _, count in units)
-    bounds = [(start - first_row, start - first_row + count) for start, count in units]
+    bounds = [(r0, r0 + count) for r0, count in batch_ranges(n_rows, ERROR_BATCH_SIZE)]
     n_ref, h_ref = ref_grid.n_steps, ref_grid.h
     coarsest = 1 << (ref_grid.level - work[0][0])
     # n_ref is whole coarsest cells too, so the clamp only sizes the buffer.
@@ -145,8 +145,8 @@ def _error_task(
     dead = np.zeros((len(work), n_rows), dtype=bool)
     saturated = np.zeros((len(work), n_rows), dtype=bool)
     sup_err = np.zeros((len(work), n_rows))
-    node_power_sums = np.empty((len(units), len(work), n_ref + 1))
-    unit_buffer = np.empty((max(count for _, count in units), window + 1))
+    node_power_sums = np.empty((len(bounds), len(work), n_ref + 1))
+    unit_buffer = np.empty((bounds[0][1], window + 1))
 
     for n0 in range(0, n_ref, window):
         n1 = min(n0 + window, n_ref)
@@ -200,24 +200,12 @@ def _error_task(
                     err **= alpha
                 sums[idx, n0 : n0 + stop] = err.sum(axis=0)
 
-    blowups = np.array([(dead | saturated)[:, r0:r1].sum(axis=1) for r0, r1 in bounds])
-    return sup_err**eta, node_power_sums, blowups
-
-
-def _task_units(
-    units: list[tuple[int, int]], workers: int
-) -> list[tuple[tuple[int, int], ...]]:
-    """Consecutive merge units grouped into tasks of equal size, the last
-    possibly shorter: enough units per task to give every worker one task,
-    at most _MAX_TASK_UNITS. Only the split depends on ``workers``; each
-    unit's result does not."""
-    size = min(_MAX_TASK_UNITS, -(-len(units) // max(1, workers)))
-    return [tuple(units[i : i + size]) for i in range(0, len(units), size)]
+    return sup_err**eta, node_power_sums, (dead | saturated).sum(axis=1)
 
 
 def _merge_tasks(task_results: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every row's sup powers (len(work), M), the node sums (len(work),
-    Nref+1) and blow-up counts (len(work),) from _error_task results in unit
+    Nref+1) and blow-up counts (len(work),) from _error_task results in row
     order. The node sums fold unit by unit into one running sum: bitwise the
     sum over a concatenation of every unit, which adds the outer axis in
     order, without that copy. So tasks must not pre-sum their own units."""
@@ -226,7 +214,7 @@ def _merge_tasks(task_results: list) -> tuple[np.ndarray, np.ndarray, np.ndarray
     node_power_sums = next(unit_sums).copy()
     for sums in unit_sums:
         node_power_sums += sums
-    blowups = np.concatenate([task[2] for task in task_results]).sum(axis=0)
+    blowups = sum(task[2] for task in task_results)
     return sup_powers, node_power_sums, blowups
 
 
@@ -256,10 +244,11 @@ def estimate_strong_error(
     The work list is the sorted levels under ``spec``, then, with
     ``check_reference``, the weak-tamed certification run one level below the
     reference. Samples are reduced in merge units of ERROR_BATCH_SIZE rows,
-    and each worker call takes a task of consecutive units (see _task_units).
-    Results are deterministic for fixed (seed, n_samples, levels) and
-    independent of the worker count, which sets only how units are grouped
-    into tasks.
+    and each worker call takes a task of consecutive rows: enough whole units
+    to give every worker one task, at most _MAX_TASK_UNITS, the last task
+    possibly shorter. Results are deterministic for fixed (seed, n_samples,
+    levels) and independent of the worker count, which sets only how units
+    are grouped into tasks.
     """
     levels = tuple(int(lvl) for lvl in levels)
     if not levels:
@@ -279,11 +268,11 @@ def estimate_strong_error(
     if check_reference:
         work += ((ref_level - 1, WEAK_TAMED_ENKF),)
 
-    tasks = _task_units(batch_ranges(n_samples, ERROR_BATCH_SIZE), workers)
+    units = -(-n_samples // ERROR_BATCH_SIZE)
+    task_rows = ERROR_BATCH_SIZE * min(_MAX_TASK_UNITS, -(-units // max(1, workers)))
+    args = (work, ref_grid, eta, alpha, u0, seed)
     task_results = run_batches(
-        _error_task,
-        [(work, ref_grid, eta, alpha, u0, seed, units) for units in tasks],
-        workers=workers,
+        _error_task, [args + task for task in batch_ranges(n_samples, task_rows)], workers=workers
     )
     sup_powers, node_power_sums, blowups = _merge_tasks(task_results)
     eta_errors = [float(np.mean(row)) ** (1.0 / eta) for row in sup_powers]

@@ -96,6 +96,24 @@ def test_increment_block_window_is_a_slice_of_the_full_rows(
 
 
 @pytest.mark.parametrize(
+    "seed, stream, message",
+    [
+        (-1, 0, "seed must be in [0, 2**64), got -1"),
+        (2**64, 0, f"seed must be in [0, 2**64), got {2**64}"),
+        (0, -1, "stream index must be in [0, 2**64), got -1"),
+        (0, 2**64, f"stream index must be in [0, 2**64), got {2**64}"),
+    ],
+)
+def test_seeds_and_streams_outside_64_bits_are_rejected(seed, stream, message):
+    # they used to be reduced modulo 2**64: seed -1 drew seed 2**64 - 1's words
+    with pytest.raises(ValueError) as exc:
+        standard_normals(seed, stream, 4)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError):
+        increment_block(seed, stream, 2, TimeGrid(1.0, 3))
+
+
+@pytest.mark.parametrize(
     "first_step, steps",
     [(2, 8), (-4, 8), (0, 0), (32, 1)],
     ids=["unaligned", "negative", "empty", "past-end"],

@@ -1,5 +1,6 @@
 """Driver-level tests: argument handling, CSV/JSON output, exit codes."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -353,6 +354,34 @@ def test_failed_output_write_leaves_neither_file(blocked, tmp_path, monkeypatch,
     assert sorted(tmp_path.iterdir()) == [tmp_path / paths[blocked]]
 
 
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "over-earlier-run"])
+@pytest.mark.parametrize("failing", ["table", "sidecar"])
+def test_a_write_cut_short_by_a_full_disk_changes_no_file(
+    failing, earlier, tmp_path, monkeypatch, capsys
+):
+    # the disk fills half way through one of the two writes: the files of an
+    # earlier run keep their bytes, and no new or temporary file is left
+    monkeypatch.chdir(tmp_path)
+    if earlier:
+        assert cli.main(["rates", "--eta-grid", "0.5", "-o", "d.csv"]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    write_bytes = Path.write_bytes
+    writes = []
+
+    def cut_short(path, data):
+        writes.append(path)
+        if len(writes) == ("table", "sidecar").index(failing) + 1:
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
+    assert cli.main(["rates", "--eta-grid", "0.25", "-o", "d.csv"]) == 2
+    name = {"table": "d.csv", "sidecar": "d.config.json"}[failing]
+    assert capsys.readouterr().err == f"error: cannot write '{name}': No space left on device\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -388,6 +417,27 @@ def test_env_seed_precedence(monkeypatch, capsys):
     monkeypatch.setenv(cli.SEED_ENV, "3")
     cli.main(["identity-check", "--samples", "5000", "--seed", "7"])
     assert capsys.readouterr().out == flagged
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--levels", "4", "--M", "10", "--p", "2", "--workers", "1"],
+        ["enkf", "--steps", "3"],
+    ],
+)
+def test_seeds_outside_64_bits_exit_2(argv, source, seed, monkeypatch, capsys):
+    # -1 and 2**64 used to run the streams of seeds 2**64 - 1 and 0
+    if source == "flag":
+        argv = argv + ["--seed", seed]
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, seed)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
 
 
 def test_bad_env_value_names_variable(monkeypatch, capsys):

@@ -114,21 +114,23 @@ def certified_work(spec, levels, ref_grid):
     )
 
 
-def assert_task_matches_reference(got, work, grid, eta, alpha, u0, units):
-    # each unit's rows of the sup powers, its node sums and its blow-up
-    # counts against that unit reduced alone at full width
+def assert_task_matches_reference(got, work, grid, eta, alpha, u0, first_row, n_rows):
+    # each merge unit's rows of the sup powers and its node sums against that
+    # unit reduced alone at full width; the blow-up counts against the sum of
+    # the units' counts
     sup, sums, blowups = got
-    assert sup.shape == (len(work), sum(count for _, count in units))
+    units = strong_error.batch_ranges(n_rows, strong_error.ERROR_BATCH_SIZE)
+    assert sup.shape == (len(work), n_rows)
     assert sums.shape == (len(units), len(work), grid.n_steps + 1)
-    assert blowups.shape == (len(units), len(work))
-    r0 = 0
-    for u, (start, count) in enumerate(units):
-        want = reference_error_batch(work, grid, eta, alpha, u0, 1, start, count)
+    assert blowups.shape == (len(work),)
+    want_blowups = np.zeros(len(work), dtype=int)
+    for u, (r0, count) in enumerate(units):
+        want = reference_error_batch(work, grid, eta, alpha, u0, 1, first_row + r0, count)
         for idx, (sup_ref, sums_ref, blow_ref) in enumerate(want):
             assert np.array_equal(sup[idx, r0 : r0 + count], sup_ref)
             assert np.array_equal(sums[u, idx], sums_ref)
-            assert blowups[u, idx] == blow_ref
-        r0 += count
+            want_blowups[idx] += blow_ref
+    assert np.array_equal(blowups, want_blowups)
 
 
 @pytest.mark.parametrize("chunk_nodes", [2048, 96])
@@ -153,11 +155,10 @@ def test_error_batch_matches_full_width_reference(
 ):
     monkeypatch.setattr(strong_error, "_CHUNK_NODES", chunk_nodes)
     grid = TimeGrid(1.0, ref_level)
-    units = ((start, count),)
-    got = strong_error._error_task(work, grid, eta, alpha, u0, 1, units)
-    assert_task_matches_reference(got, work, grid, eta, alpha, u0, units)
+    got = strong_error._error_task(work, grid, eta, alpha, u0, 1, start, count)
+    assert_task_matches_reference(got, work, grid, eta, alpha, u0, start, count)
     if work[0][1] is NAIVE_EM:
-        assert (got[2][0, :4] > 0).all()
+        assert (got[2][:4] > 0).all()
 
 
 @pytest.mark.parametrize(
@@ -167,21 +168,21 @@ def test_error_batch_matches_full_width_reference(
     [(strong_error._CHUNK_NODES, 1024), (2048, 2048), (600, 512), (96, 256)],
 )
 @pytest.mark.parametrize(
-    "spec, u0, units",
+    "spec, u0, first_row, n_rows",
     [
-        (WEAK_TAMED_ENKF, 1.0, ((0, 256), (256, 256), (512, 100))),
-        (NAIVE_EM, 3.0, ((256, 256), (512, 256))),
+        (WEAK_TAMED_ENKF, 1.0, 0, 612),  # units of 256, 256 and 100 rows
+        (NAIVE_EM, 3.0, 256, 512),
     ],
     ids=["weak-tamed-3-units", "naive-em-2-units"],
 )
 def test_streamed_task_matches_full_width_reference_per_unit(
-    monkeypatch, chunk_nodes, window, spec, u0, units
+    monkeypatch, chunk_nodes, window, spec, u0, first_row, n_rows
 ):
     monkeypatch.setattr(strong_error, "_CHUNK_NODES", chunk_nodes)
     grid = TimeGrid(1.0, 12)
     work = certified_work(spec, (4, 5, 6, 7, 8), grid)
-    got = strong_error._error_task(work, grid, 0.5, 1.0, u0, 1, units)
-    assert_task_matches_reference(got, work, grid, 0.5, 1.0, u0, units)
+    got = strong_error._error_task(work, grid, 0.5, 1.0, u0, 1, first_row, n_rows)
+    assert_task_matches_reference(got, work, grid, 0.5, 1.0, u0, first_row, n_rows)
     if spec is NAIVE_EM:
         # level-4 rows blow up before the last window and must stay frozen,
         # at both signs of the sentinel, through the windows after it
@@ -206,7 +207,7 @@ def test_streamed_levels_continue_the_full_width_trajectories(monkeypatch):
     monkeypatch.setattr(strong_error, "integrate_increments", recording)
     grid = TimeGrid(1.0, 12)
     work = certified_work(NAIVE_EM, (4, 6, 8), grid)
-    strong_error._error_task(work, grid, 0.5, 1.0, 3.0, 1, ((0, 64),))
+    strong_error._error_task(work, grid, 0.5, 1.0, 3.0, 1, 0, 64)
     fine = increment_block(1, 0, 64, grid)
     for level, spec in work:
         h = 2.0**-level
@@ -222,30 +223,26 @@ def test_streamed_levels_continue_the_full_width_trajectories(monkeypatch):
 def test_interpolant_saturation_counts_as_a_blowup(monkeypatch):
     # The weak-tamed rows never blow up in the scheme, so a row the
     # interpolant alone flags as saturated must still be counted, once.
+    monkeypatch.setattr(strong_error, "ERROR_BATCH_SIZE", 64)
     grid = TimeGrid(1.0, 9)
     work = certified_work(WEAK_TAMED_ENKF, (4, 5, 6), grid)
-    units = ((0, 64), (64, 64))
-    args = (work, grid, 0.5, 1.0, 1.0, 1, units)
+    args = (work, grid, 0.5, 1.0, 1.0, 1, 0, 128)  # two units of 64 rows
     base = strong_error._error_task(*args)
     assert not base[2].any()
 
-    level5_calls = []
-
-    def one_row_saturated(spec, values, h, fine, h_fine, **kwargs):
-        # called once per unit, units in order, within each window and entry
+    def row_6_saturated(spec, values, h, fine, h_fine, **kwargs):
+        # called once per unit in every window; rows 6 and 70 of the task
         interp, sat = interpolant_increments(spec, values, h, fine, h_fine, **kwargs)
         if h == 2.0**-5:
-            level5_calls.append(h)
-            if len(level5_calls) % len(units) == 0:
-                sat = sat.copy()
-                sat[6] = True  # row 6 of the second unit, values unchanged
+            sat = sat.copy()
+            sat[6] = True  # values unchanged
         return interp, sat
 
-    monkeypatch.setattr(strong_error, "interpolant_increments", one_row_saturated)
+    monkeypatch.setattr(strong_error, "interpolant_increments", row_6_saturated)
     got = strong_error._error_task(*args)
     assert np.array_equal(got[0], base[0]) and np.array_equal(got[1], base[1])
     expected = base[2].copy()
-    expected[1, 1] += 1  # unit 1, work entry 1 (level 5)
+    expected[1] += 2  # work entry 1 (level 5): one row in each unit
     assert np.array_equal(got[2], expected)
 
 
@@ -278,13 +275,27 @@ def test_merge_folds_units_bitwise_at_uneven_tasks(monkeypatch):
     assert sum(s.blowup_count for s in stats[0][0]) > 0
 
 
-def test_tasks_group_consecutive_units():
-    units = strong_error.batch_ranges(1280, 256)
-    assert strong_error._task_units(units, 1) == [tuple(units[:4]), tuple(units[4:])]
-    assert strong_error._task_units(units, 2) == [tuple(units[:3]), tuple(units[3:])]
-    assert strong_error._task_units(units, 3) == [tuple(units[i : i + 2]) for i in (0, 2, 4)]
-    assert strong_error._task_units(units[:4], 2) == [tuple(units[:2]), tuple(units[2:4])]
-    assert strong_error._task_units(units, 64) == [(u,) for u in units]
+def test_tasks_are_row_ranges_of_whole_units(monkeypatch):
+    # 5 full units of 256 rows and one of 17: at most _MAX_TASK_UNITS (4)
+    # units per task, few enough to give every worker one, and every task but
+    # the last starts and ends on a unit boundary
+    class Stop(Exception):
+        pass
+
+    tasks = {}
+
+    def recording(worker, args, workers):
+        tasks[workers] = [task[-2:] for task in args]
+        raise Stop
+
+    monkeypatch.setattr(strong_error, "run_batches", recording)
+    for workers in (1, 2, 3, 64):
+        with pytest.raises(Stop):
+            estimate_strong_error(WEAK_TAMED_ENKF, LEVELS, n_samples=5 * 256 + 17, workers=workers)
+    assert tasks[1] == [(0, 1024), (1024, 273)]
+    assert tasks[2] == [(0, 768), (768, 529)]
+    assert tasks[3] == [(0, 512), (512, 512), (1024, 273)]
+    assert tasks[64] == [(start, 256) for start in range(0, 1280, 256)] + [(1280, 17)]
 
 
 def test_task_memory_does_not_grow_with_the_reference_grid():
@@ -296,8 +307,7 @@ def test_task_memory_does_not_grow_with_the_reference_grid():
         try:
             grid = TimeGrid(1.0, ref_level)
             strong_error._error_task(
-                certified_work(WEAK_TAMED_ENKF, levels, grid), grid, 0.5, 1.0, 1.0, 0,
-                ((0, 256), (256, 256)),
+                certified_work(WEAK_TAMED_ENKF, levels, grid), grid, 0.5, 1.0, 1.0, 0, 0, 512
             )
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -316,7 +326,7 @@ def test_window_is_clamped_to_the_reference_grid(monkeypatch):
     def run():
         tracemalloc.start()
         try:
-            got = strong_error._error_task(work, grid, 0.5, 1.0, 1.0, 0, ((0, 256),))
+            got = strong_error._error_task(work, grid, 0.5, 1.0, 1.0, 0, 0, 256)
             return [a.tobytes() for a in got], tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

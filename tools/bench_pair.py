@@ -11,7 +11,8 @@ drift of the host's speed over the session charges both sides alike. Before
 each pair, both checkouts run the workload once, untimed, for WARMUP_SECONDS
 (in the pair's order), so neither timed run is the first after a pause: on
 the EnKF workloads the second run of a pair read lower whatever the code. The
-output file holds the environment line of the runs, every pair's metrics and,
+output file holds each side's ``wc -l src/weaktame/*.py`` total (its
+``source_lines``), the environment line of the runs, every pair's metrics and,
 per workload and metric, each side's median and quartiles and the number of
 pairs the change won (ties count for neither side); it is rewritten after
 every pair. Run it again with other workloads and the same base, seed,
@@ -61,6 +62,11 @@ def export(rev: str) -> Path:
                 raise RuntimeError(f"git archive {commit} failed")
         done_marker.write_text(commit + "\n", encoding="ascii")
     return dest
+
+
+def source_lines(checkout: Path) -> int:
+    """The ``wc -l src/weaktame/*.py`` total of ``checkout``."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "weaktame").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -137,9 +143,11 @@ def main(argv=None) -> int:
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     record = {
-        "base": {"rev": args.base, "commit": base_dir.name},
+        "base": {"rev": args.base, "commit": base_dir.name,
+                 "source_lines": source_lines(base_dir)},
         "change": {"working_tree_of": git("rev-parse", "HEAD"),
-                   "uncommitted": bool(git("status", "--porcelain", "--", "src"))},
+                   "uncommitted": bool(git("status", "--porcelain", "--", "src")),
+                   "source_lines": source_lines(ROOT)},
         "host": {"cpu": cpu_model(), "platform": platform.platform()},
         "settings": {"seed": args.seed, "seconds": args.seconds, "trace": args.trace,
                      "warmup_seconds": WARMUP_SECONDS},
