@@ -75,18 +75,24 @@ def _stream_key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed, stream], dtype=np.uint64)
 
 
-def _normals_from_words(raw: np.ndarray) -> np.ndarray:
-    """N(0,1) values of 64-bit words: the top 53 bits, offset by half an ulp
-    so the uniforms lie strictly inside (0,1), through the inverse normal CDF,
-    which keeps the map monotone and reproducible across platforms."""
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+def _normals_from_words(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out``, a float64 array of ``raw``'s shape, the N(0,1)
+    values of the 64-bit words ``raw``, which are overwritten: the top 53
+    bits, offset by half an ulp so the uniforms lie strictly inside (0,1),
+    through the inverse normal CDF, which keeps the map monotone and
+    reproducible across platforms. Returns ``out``."""
+    np.right_shift(raw, np.uint64(11), out=raw)
+    np.add(raw, 0.5, out=out)
+    out *= 2.0**-53
+    return ndtri(out, out=out)
 
 
 def standard_normals(seed: int, stream: int, count: int) -> np.ndarray:
     """N(0,1) draws from the counter-based stream keyed by (seed, stream)."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return _normals_from_words(Philox(key=_stream_key(seed, stream)).random_raw(count))
+    raw = Philox(key=_stream_key(seed, stream)).random_raw(count)
+    return _normals_from_words(raw, np.empty(count))
 
 
 def increment_block(
@@ -108,7 +114,9 @@ def increment_block(
     window by window the same as one drawn whole. Philox yields four words per
     counter value, so first_step must be a multiple of 4: the window resumes
     each row's stream at counter first_step/4. With ``scaled=False`` the rows
-    are the standard normals themselves, without the sqrt(h) factor.
+    are the standard normals themselves, without the sqrt(h) factor. Each
+    row's words are mapped straight into that row of the result, so the call
+    holds one row of words beside the (count, steps) result, nothing more.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -125,14 +133,13 @@ def increment_block(
     state = bitgen.state
     inner = state["state"]
     inner["counter"] = np.array([first_step // 4, 0, 0, 0], dtype=np.uint64)
-    raw = np.empty((count, steps), dtype=np.uint64)
+    out = np.empty((count, steps))
     for i in range(count):
         inner["key"] = _stream_key(seed, first_index + i)
         bitgen.state = state
-        raw[i] = bitgen.random_raw(steps)
-    out = _normals_from_words(raw)
+        _normals_from_words(bitgen.random_raw(steps), out[i])
     if scaled:
-        out *= np.sqrt(grid.h)  # in place: one (count, steps) array fewer at peak
+        out *= np.sqrt(grid.h)
     return out
 
 

@@ -471,7 +471,13 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    seed = args.seed if args.seed is not None else _env_int(SEED_ENV, 0)
+    if args.seed is not None:
+        seed, source = args.seed, "seed"
+    else:
+        seed, source = _env_int(SEED_ENV, 0), SEED_ENV
+    # Checked here for every subcommand: rates keys no stream that would.
+    if not 0 <= seed < 1 << 64:
+        raise UsageError(f"{source} must be in [0, 2**64), got {seed}")
     workers = args.workers if args.workers is not None else _env_int(WORKERS_ENV, os.cpu_count() or 1)
     # Each subcommand's flags are stored under the config field of the same
     # name (argparse ``dest``); fields of other subcommands stay None.

@@ -105,21 +105,17 @@ def _every_grid_batch(
     Row i of a grid's increments is sqrt(h) times the first n_steps words of
     stream (seed, start + i), so every grid's increments are a prefix of the
     last grid's, scaled: the range is drawn once, unscaled, at the last grid,
-    which is scaled in place. One _integrate_blocks call steps every grid;
-    the draw is then dropped and the grids reduced longest first, each
-    grid's values dropped once reduced.
+    and one _integrate_blocks call steps every grid from its unscaled prefix
+    and its sqrt(h), scaled as the step loop copies it in. The draw is then
+    dropped and the grids reduced shortest first, each grid's values dropped
+    once reduced, so the longest grid is reduced alone.
     """
-    *shorter, longest = grids
-    unscaled = increment_block(seed, start, count, longest, scaled=False)
-    blocks = [(g.h, unscaled[:, : g.n_steps] * np.sqrt(g.h), u0) for g in shorter]
-    unscaled *= np.sqrt(longest.h)
-    blocks.append((longest.h, unscaled, u0))
-    paths = _integrate_blocks(spec, blocks)
-    del blocks, unscaled
-    out = []
-    for grid in reversed(grids):
-        out.append(batch(grid.h, *paths.pop(), *extra))
-    return out[::-1]
+    unscaled = increment_block(seed, start, count, grids[-1], scaled=False)
+    paths = _integrate_blocks(
+        spec, [(g.h, unscaled[:, : g.n_steps], u0, np.sqrt(g.h)) for g in grids]
+    )
+    del unscaled
+    return [batch(grid.h, *paths.pop(0), *extra) for grid in grids]
 
 
 def _batch_half_width(

@@ -16,9 +16,10 @@ takes each step once, unchecked, in chunks of _batching._SCRATCH_BYTES per
 scratch array, and checks the range once per chunk, on its max and min
 (which NaN fails too). A row that left the range is saturated at its first
 node out of range and frozen there, so the values are bitwise those of a
-check per step. One loop steps several blocks of rows, each with its own h
-and step count, at once (_integrate_blocks); integrate_increments is its
-one-block case.
+check per step. One loop steps several blocks of rows, each with its own h,
+step count and increment scale, at once (_integrate_blocks), scaling each
+block's increments as it copies them into the loop's scratch;
+integrate_increments is its one-block case, at scale 1.0.
 """
 
 from __future__ import annotations
@@ -132,10 +133,10 @@ def integrate_increments(
     Saturation replaces an out-of-range update by sign * SATURATION_LIMIT
     (NaN inherits the sign of the previous value) and freezes the row there.
     """
-    return _integrate_blocks(spec, [(h, increments, u0)])[0]
+    return _integrate_blocks(spec, [(h, increments, u0, 1.0)])[0]
 
 
-def _checked_block(h, increments, u0):
+def _checked_block(h, increments, u0, scale):
     increments = np.asarray(increments, dtype=np.float64)
     if increments.ndim != 2:
         raise ValueError("increments must be 2-d (batch, steps)")
@@ -150,12 +151,12 @@ def _checked_block(h, increments, u0):
         raise ValueError("u0 must be scalar or one value per batch row")
     if not np.all(np.abs(u0_row) <= SATURATION_LIMIT):
         raise ValueError(f"u0 must lie in the range |u0| <= {SATURATION_LIMIT:g}")
-    return h, increments, u0_row
+    return h, increments, u0_row, float(scale)
 
 
 def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.ndarray]]:
-    """integrate_increments(spec, h, increments, u0) of every block, in order,
-    from one step loop.
+    """integrate_increments(spec, h, increments * scale, u0) of every block
+    (h, increments, u0, scale), in order, from one step loop.
 
     Iteration k takes step k of every block that still has one. The blocks
     are stacked in decreasing step count, so the rows still running are a
@@ -163,17 +164,20 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
     ends, the loop narrows its views of the state, h and scratch to that
     prefix. Steps run unchecked in time-major chunks of
     _batching._SCRATCH_BYTES per scratch array (one step at least); each
-    chunk's increments are transposed in from, and its values out to, every
-    block's row-major arrays. Before the values go out, rows frozen in an
-    earlier chunk are set back to their frozen value, and a row that left the
-    range in this chunk is saturated at its first node out of range and
+    chunk's increments are transposed in from every block's row-major
+    increments, multiplied by the block's scale on the way (the product
+    increments * scale would form, so no scaled copy of a block is made,
+    and a scale of 1.0 leaves the bits as they are), and its values out to
+    every block's row-major values. Before the values go out, rows frozen in
+    an earlier chunk are set back to their frozen value, and a row that left
+    the range in this chunk is saturated at its first node out of range and
     frozen from there. Every kernel acts per row, so a row's values up to
     that node, the saturated value and each block's blow are bitwise those
     of a check after every step of its own call.
     """
     checked = [_checked_block(*block) for block in blocks]
     order = sorted(range(len(checked)), key=lambda i: -checked[i][1].shape[1])
-    hs, incs, u0s = zip(*(checked[i] for i in order))
+    hs, incs, u0s, scales = zip(*(checked[i] for i in order))
     steps = [inc.shape[1] for inc in incs]
     bounds = np.cumsum([0] + [inc.shape[0] for inc in incs]).tolist()
     n_rows = bounds[-1]
@@ -199,9 +203,9 @@ def _integrate_blocks(spec: SchemeSpec, blocks) -> list[tuple[np.ndarray, np.nda
     with np.errstate(all="ignore"):
         for n in range(0, n_max, cap):
             stop = min(n + cap, n_max)
-            for inc, r0, r1, s in zip(incs, bounds, bounds[1:], steps):
+            for inc, scale, r0, r1, s in zip(incs, scales, bounds, bounds[1:], steps):
                 if s > n:
-                    inc_c[: min(stop, s) - n, r0:r1] = inc[:, n:stop].T
+                    np.multiply(inc[:, n:stop].T, scale, out=inc_c[: min(stop, s) - n, r0:r1])
             v = w  # the running rows at the chunk's start
             for j in range(stop - n):
                 if steps[m - 1] <= n + j:

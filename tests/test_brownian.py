@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -139,6 +141,20 @@ def test_every_grid_is_a_scaled_prefix_of_the_longest_unscaled_draw(grids, start
     for grid in grids:
         prefix = unscaled[:, : grid.n_steps] * np.sqrt(grid.h)
         assert np.array_equal(prefix, increment_block(4, start, 5, grid))
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+def test_increment_block_holds_little_beside_its_result(scaled):
+    # Each row's words are mapped straight into that row of the result. The
+    # block used to hold a uint64 copy of its words and two float64
+    # temporaries: 3.0 output arrays at peak.
+    tracemalloc.start()
+    try:
+        increment_block(0, 0, 512, TimeGrid(1.0, 10), scaled=scaled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 512 * 1024 * 8
 
 
 def test_increment_variance_scales_with_h():

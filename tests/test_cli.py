@@ -244,6 +244,8 @@ def test_enkf_general_shape(capsys):
         (["rates", "--eta-grid", "0.5", "-o", "/no/such/dir/x.csv"],
          "cannot write '/no/such/dir/x.csv'"),
         (["rates", "--eta-grid", "0.5", "-o", ""], "Is a directory"),
+        # rates keys no Philox stream; it used to print its table and exit 0
+        (["rates", "--eta-grid", "0.5", "--seed", "-1"], "seed must be in [0, 2**64), got -1"),
     ],
 )
 # pytest captures warnings instead of printing them, so make them fail
@@ -426,18 +428,22 @@ def test_env_seed_precedence(monkeypatch, capsys):
     [
         ["moments", "--levels", "4", "--M", "10", "--p", "2", "--workers", "1"],
         ["enkf", "--steps", "3"],
+        ["rates", "--eta-grid", "0.5"],
     ],
 )
 def test_seeds_outside_64_bits_exit_2(argv, source, seed, monkeypatch, capsys):
-    # -1 and 2**64 used to run the streams of seeds 2**64 - 1 and 0
+    # -1 and 2**64 used to run the streams of seeds 2**64 - 1 and 0, and
+    # rates, which draws nothing, ran; a bad WEAKTAME_SEED is named as such
     if source == "flag":
         argv = argv + ["--seed", seed]
+        name = "seed"
     else:
         monkeypatch.setenv(cli.SEED_ENV, seed)
+        name = cli.SEED_ENV
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert err == f"error: {name} must be in [0, 2**64), got {seed}\n"
 
 
 def test_bad_env_value_names_variable(monkeypatch, capsys):

@@ -386,7 +386,7 @@ def test_stacked_blocks_match_one_call_per_block(monkeypatch, spec, blow_block, 
         return _raw_update(variant, eps, u, h, dw)
 
     monkeypatch.setattr(schemes, "_raw_update", counting)
-    stacked = _integrate_blocks(spec, blocks)
+    stacked = _integrate_blocks(spec, [(*block, 1.0) for block in blocks])
     monkeypatch.undo()
     assert len(stacked) == len(blocks)
     # one update per step of the longest block, of the rows still running,
@@ -423,7 +423,8 @@ def test_stacked_rows_that_leave_the_range_in_the_chunk_their_block_ends(
         increments[0, -1] = np.nan
         increments[1, -3] = -np.inf
         blocks.append((h, increments, rng.uniform(-1.0, 1.0, 3)))
-    for (h, increments, u0), (values, blow) in zip(blocks, _integrate_blocks(spec, blocks)):
+    stacked = _integrate_blocks(spec, [(*block, 1.0) for block in blocks])
+    for (h, increments, u0), (values, blow) in zip(blocks, stacked):
         want, want_blow = stepwise_integrate(spec, h, increments, u0)
         assert values.tobytes() == want.tobytes()
         assert blow.tobytes() == want_blow.tobytes()
@@ -431,10 +432,40 @@ def test_stacked_rows_that_leave_the_range_in_the_chunk_their_block_ends(
         assert blow[:2].tolist() == [n_steps, n_steps - 2]
 
 
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+def test_block_scale_is_applied_as_the_increments_are_copied_in(monkeypatch, spec, chunk):
+    # The moment engine hands every grid its unscaled prefix of one draw and
+    # its sqrt(h); the loop must step exactly the products inc * scale. Row 1
+    # of the first block meets an infinite increment and saturates in every
+    # scheme.
+    if chunk is not None:
+        monkeypatch.setattr(_batching, "_SCRATCH_BYTES", 8 * 12 * chunk)  # 12 rows
+    rng = np.random.default_rng(29)
+    blocks = []
+    for n_steps, scale in ((50, 0.125), (17, 1.0), (64, np.sqrt(1.0 / 64)), (5, 2.5)):
+        increments = rng.standard_normal((3, n_steps))
+        blocks.append((1.0 / n_steps, increments, rng.uniform(-1.5, 1.5, 3), scale))
+    blocks[0][1][1, 20] = np.inf
+    scaled = _integrate_blocks(spec, blocks)
+    prescaled = _integrate_blocks(
+        spec, [(h, increments * scale, u0, 1.0) for h, increments, u0, scale in blocks]
+    )
+    for (values, blow), (want, want_blow) in zip(scaled, prescaled):
+        assert values.tobytes() == want.tobytes()
+        assert blow.tobytes() == want_blow.tobytes()
+    assert scaled[0][1][1] == 21
+    assert abs(scaled[0][0][1, -1]) == SATURATION_LIMIT
+
+
 def test_stacked_blocks_of_no_steps_or_no_rows():
     # a block of no steps and a block of no rows ride along unchanged
     long = np.full((2, 70), 0.1)
-    blocks = [(0.1, np.empty((3, 0)), 1.5), (0.1, long, 1.0), (0.2, np.empty((0, 5)), 1.0)]
+    blocks = [
+        (0.1, np.empty((3, 0)), 1.5, 1.0),
+        (0.1, long, 1.0, 1.0),
+        (0.2, np.empty((0, 5)), 1.0, 1.0),
+    ]
     values = _integrate_blocks(WEAK_TAMED_ENKF, blocks)
     want, _ = integrate_increments(WEAK_TAMED_ENKF, 0.1, long, 1.0)
     assert values[0][0].tolist() == [[1.5]] * 3 and values[0][1].tolist() == [-1] * 3

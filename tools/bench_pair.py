@@ -14,11 +14,16 @@ the EnKF workloads the second run of a pair read lower whatever the code. The
 output file holds each side's ``wc -l src/weaktame/*.py`` total (its
 ``source_lines``), the environment line of the runs, every pair's metrics and,
 per workload and metric, each side's median and quartiles and the number of
-pairs the change won (ties count for neither side); it is rewritten after
-every pair. Run it again with other workloads and the same base, seed,
-seconds and trace to add them to the file. Once the file is written, each run
-in it that was not correct or had failed operations gets one line on stderr,
-and the exit status is 1 if there is any.
+pairs the change won (ties count for neither side), with two flags: whether
+the change meets the claim rule (it wins at least 9 in 10 of the pairs, and
+its median beats the base median by more than the base's interquartile
+range) and whether its median is worse than the base's by more than the
+metric's ``BENCHMARK.json`` bound. The file is rewritten after every pair.
+Run it again with other workloads and the same base, seed, seconds and trace
+to add them to the file. Once the file is written, each workload in it gets
+one line on stderr that lists both flags of every metric, and each run that
+was not correct or had failed operations one more; the exit status is 1 if
+there is any such run.
 """
 
 from __future__ import annotations
@@ -90,14 +95,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     }
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: each side's median and quartiles, the change's wins, and
+    two flags from the metric's ``BENCHMARK.json`` entry in ``metrics``.
+
+    ``claim_rule_met``: the change won at least 9 in 10 of the pairs, and its
+    median beats the base median by more than the base's q3 - q1.
+    ``beyond_bound``: the change's median is worse than the base median by
+    more than ``bound`` times the base median; None for a metric without a
+    bound.
+    """
     summary = {}
     for name in pairs[0]["base"]["metrics"]:
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
-        sign = 1 if better.get(name, "lower") == "lower" else -1
+        better = metrics.get(name, {}).get("better", "lower")
+        bound = metrics.get(name, {}).get("bound")
+        sign = 1 if better == "lower" else -1
         diffs = [sign * (b - c) for b, c in zip(values["base"], values["change"])]
-        entry = {"better": better.get(name, "lower"), "pairs": len(pairs)}
+        entry = {"better": better, "pairs": len(pairs)}
         for side in SIDES:
             q1, median, q3 = (
                 statistics.quantiles(values[side], n=4, method="inclusive")
@@ -106,6 +121,12 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             entry[side] = {"median": median, "q1": q1, "q3": q3}
         entry["change_wins"] = sum(d > 0 for d in diffs)
         entry["ties"] = sum(d == 0 for d in diffs)
+        base = entry["base"]
+        gain = sign * (base["median"] - entry["change"]["median"])
+        entry["claim_rule_met"] = (
+            10 * entry["change_wins"] >= 9 * len(pairs) and gain > base["q3"] - base["q1"]
+        )
+        entry["beyond_bound"] = None if bound is None else -gain > bound * abs(base["median"])
         summary[name] = entry
     return summary
 
@@ -141,7 +162,7 @@ def main(argv=None) -> int:
     base_dir = export(args.base)
     checkouts = {"base": base_dir, "change": ROOT}
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
-    better = {m["name"]: m["better"] for m in metrics}
+    by_name = {m["name"]: m for m in metrics}
     record = {
         "base": {"rev": args.base, "commit": base_dir.name,
                  "source_lines": source_lines(base_dir)},
@@ -154,12 +175,16 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     if args.out.is_file():
-        # Workloads measured earlier against the same base and settings stay.
+        # Workloads measured earlier against the same base and settings stay,
+        # summarized again so that every summary carries the same fields.
         earlier = json.loads(args.out.read_text(encoding="utf-8"))
         same = earlier["base"]["commit"] == base_dir.name
         if same and earlier["settings"] == record["settings"]:
             record["environment"] = earlier["environment"]
-            record["workloads"] = earlier["workloads"]
+            record["workloads"] = {
+                workload: {"pairs": e["pairs"], "summary": summarize(e["pairs"], by_name)}
+                for workload, e in earlier["workloads"].items()
+            }
     for workload in workloads:
         pairs = []
         for i in range(args.pairs):
@@ -176,11 +201,16 @@ def main(argv=None) -> int:
             pairs.append(pair)
             # Written after every pair, so a run cut short keeps what it measured.
             record.setdefault("environment", pairs[0]["base"]["environment"])
-            summary = summarize(pairs, better)
+            summary = summarize(pairs, by_name)
             record["workloads"][workload] = {"pairs": pairs, "summary": summary}
             args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     bad = 0
     for workload, entry in record["workloads"].items():
+        flags = ", ".join(
+            f"{name} claim_rule_met={m['claim_rule_met']} beyond_bound={m['beyond_bound']}"
+            for name, m in entry["summary"].items()
+        )
+        print(f"{workload}: {flags}", file=sys.stderr)
         for i, pair in enumerate(entry["pairs"]):
             for side in SIDES:
                 run = pair[side]
